@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import deque
+from itertools import compress
 from typing import Iterable
 
 from .errors import EdgeInTree, ParseError, ValidationError
@@ -172,48 +173,184 @@ class MaxBipartiteSubgraph:
 def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph]:
     """All maximal bipartite subgraphs of g, in bipartition-bitmask order.
 
-    Scans the 2^(N-1) vertex bipartitions with vertex 1 on the plus side,
-    takes all crossing edges of each, and keeps the result iff that
-    crossing subgraph is connected and spanning.  Every maximal bipartite
-    subgraph arises this way exactly once: it contains every crossing edge
-    of its (unique, up to swap) 2-coloring.
+    A maximal bipartite subgraph is the crossing-edge set of a bipartition
+    (vertex 1 on the plus side) whose crossing subgraph is connected and
+    spanning; each arises from exactly one such bipartition.
+
+    The sides are assigned depth-first, with an explicit stack, in BFS
+    order from vertex 1 (ascending neighbours).  A branch tracks the
+    components of the crossing subgraph over its assigned vertices by
+    their open vertices, those with an unassigned neighbour.  It is cut
+    when:
+
+    - a component has no open vertex left before all N vertices are
+      assigned: no later edge can touch it, so it stays a component; or
+    - the components cannot meet through the unassigned vertices.  A
+      crossing path leaving an open vertex x enters the unassigned part
+      on the side opposite x's and alternates sides there, so it stays in
+      the double cover of the unassigned subgraph (one node per vertex
+      and side), within the cover components of x's neighbours taken on
+      the side opposite x's.  If the components and those cover
+      components do not form one connected whole, no completion is
+      connected.  This rule cuts a single non-crossing edge on a long
+      even cycle at once, not only when the cycle closes.
+
+    Both rules cut only branches that have no connected spanning
+    completion, so no maximal bipartite subgraph is dropped, and every
+    branch that reaches the last vertex with one component is one.  The
+    cost is therefore output-sensitive, not 2^(N-1): a path or an even
+    cycle takes O(N) search nodes and an odd cycle O(N) per subgraph,
+    while K_N still yields all 2^(N-1) - 1 subgraphs.  Results are sorted
+    by the plus-side bitmask, which is the order of a plain scan over all
+    bipartitions.
     """
     n_vert = g.vertex_count
+    last = n_vert - 1
+    order = [1]
+    position = {1: 0}
+    for v in order:
+        for w in g.adjacency[v]:
+            if w not in position:
+                position[w] = len(order)
+                order.append(w)
+    cover = _UnassignedCover(g, order, position)
+    # bit v of a vertex bitmask stands for vertex v
+    earlier = [0] * (n_vert + 1)
+    for u, v in g.edges:
+        if position[u] < position[v]:
+            earlier[v] |= 1 << u
+        else:
+            earlier[u] |= 1 << v
+    # staying[i]: all but the vertices that stop being open once order[i]
+    # is assigned
+    staying = [-1] * n_vert
+    for v in order:
+        staying[max(position[w] for w in (v, *g.adjacency[v]))] &= ~(1 << v)
+    incident = [0] * (n_vert + 1)  # bit k: vertex meets g.edges[k]
+    for k, (u, v) in enumerate(g.edges):
+        incident[u] ^= 1 << k
+        incident[v] ^= 1 << k
+
+    found: list[tuple[int, int]] = []  # (plus bitmask, crossing bitmask)
+    # (step, plus, minus, crossing edges, open vertices of each component)
+    stack = [(1, 0b10, 0, incident[1], [0b10])]
+    while stack:
+        i, plus, minus, cut, comps = stack.pop()
+        v = order[i]
+        bit = 1 << v
+        for child_plus, child_minus, child_cut, across in (
+            (plus | bit, minus, cut ^ incident[v], minus),
+            (plus, minus | bit, cut, plus),
+        ):
+            touching = earlier[v] & across
+            merged = bit
+            child = []
+            for c in comps:
+                if c & touching:
+                    merged |= c
+                else:
+                    child.append(c)
+            child.append(merged)
+            if i == last:
+                if len(child) == 1:
+                    found.append((child_plus, child_cut))
+                continue
+            child = [c & staying[i] for c in child]
+            if not all(child):
+                continue  # a component closed before the last vertex
+            if len(child) > 1 and not cover.joins(i, child, child_plus):
+                continue
+            stack.append((i + 1, child_plus, child_minus, child_cut, child))
+
+    found.sort()
+    vertices = frozenset(g.vertices())
     results = []
-    for mask in range((1 << (n_vert - 1)) - 1):
-        # bit k set -> vertex k+2 on the plus side; mask of all ones would
-        # leave the minus side empty, hence the exclusive upper bound
-        plus = {1} | {k + 2 for k in range(n_vert - 1) if mask >> k & 1}
-        crossing = tuple(
-            e for e in g.edges if (e[0] in plus) != (e[1] in plus)
-        )
-        if not crossing:
-            continue
-        if not _connected_spanning(crossing, n_vert):
-            continue
-        minus = frozenset(g.vertices()) - plus
-        bip = Bipartition(plus=frozenset(plus), minus=minus)
+    for plus_mask, cut in found:
+        plus = frozenset(compress(range(n_vert + 1), _bits(plus_mask)))
+        bip = Bipartition(plus=plus, minus=vertices - plus)
+        crossing = tuple(compress(g.edges, _bits(cut)))
         results.append(MaxBipartiteSubgraph(bipartition=bip, edges=crossing))
     return results
 
 
-def _connected_spanning(edges: tuple[Edge, ...], vertex_count: int) -> bool:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if len(adj) != vertex_count:
-        return False
-    start = next(iter(adj))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == vertex_count
+class _UnassignedCover:
+    """Double covers of the unassigned subgraphs G[order[i+1:]], for all i.
+
+    Node 2u + s is vertex u on side s (0 plus, 1 minus), and an edge uw
+    joins (u, s) with (w, 1 - s).  The vertices are added in reverse
+    search order to one union-find, without path compression, whose links
+    are stamped with the step that added them; the components after step
+    i follow only the links stamped later than i.
+    """
+
+    def __init__(self, g: Graph, order: list[int], position: dict[int, int]):
+        self.adjacency = g.adjacency
+        self.position = position
+        size = 2 * g.vertex_count + 2
+        self.parent = list(range(size))
+        self.stamp = [-1] * size
+        weight = [1] * size
+        for j in range(len(order) - 1, 0, -1):
+            u = order[j]
+            for w in g.adjacency[u]:
+                if position[w] < j:
+                    continue
+                for s in (0, 1):
+                    a = self.root(2 * u + s, j - 1)
+                    b = self.root(2 * w + 1 - s, j - 1)
+                    if a == b:
+                        continue
+                    if weight[a] < weight[b]:
+                        a, b = b, a
+                    self.parent[b] = a
+                    self.stamp[b] = j
+                    weight[a] += weight[b]
+
+    def root(self, node: int, i: int) -> int:
+        while self.stamp[node] > i:
+            node = self.parent[node]
+        return node
+
+    def joins(self, i: int, comps: list[int], plus: int) -> bool:
+        """Whether the components can meet through order[i+1:].
+
+        comps holds the open vertices of each component as a bitmask;
+        components are numbered from 0, double-cover nodes are negative.
+        """
+        links: dict[int, set[int]] = {k: set() for k in range(len(comps))}
+        for k, c in enumerate(comps):
+            for x in _members(c):
+                side = plus >> x & 1  # side of x's crossing neighbours
+                for u in self.adjacency[x]:
+                    if self.position[u] > i:
+                        node = ~self.root(2 * u + side, i)
+                        links[k].add(node)
+                        links.setdefault(node, set()).add(k)
+        seen = {0}
+        todo = [0]
+        while todo:
+            for node in links[todo.pop()]:
+                if node not in seen:
+                    seen.add(node)
+                    todo.append(node)
+        return all(k in seen for k in range(len(comps)))
+
+
+# bytes.translate table taking the digits "0" and "1" to the bytes 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> bytes:
+    """Bit k of mask as byte k (0 or 1), lowest first: a compress selector."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+
+
+def _members(mask: int):
+    """The vertices of a vertex bitmask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

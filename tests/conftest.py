@@ -2,11 +2,14 @@
 
 import functools
 import itertools
+import random
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 from adjpoly import Graph, ValidationError, parse_edge_list
+from adjpoly.graphs import Bipartition, MaxBipartiteSubgraph
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,6 +59,31 @@ def exhaustive_corpus(max_n: int = 5) -> tuple[Graph, ...]:
     return tuple(graphs)
 
 
+def path_graph(n: int) -> Graph:
+    """The path 1 - 2 - ... - n."""
+    return Graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, itertools.combinations(range(1, n + 1), 2))
+
+
+def random_connected_graph(n: int, density: float, rng: random.Random) -> Graph:
+    """A random spanning tree on shuffled labels plus each other pair with
+    probability density."""
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    edges = {
+        tuple(sorted((labels[k], labels[rng.randrange(k)]))) for k in range(1, n)
+    }
+    edges |= {
+        pair
+        for pair in itertools.combinations(range(1, n + 1), 2)
+        if rng.random() < density
+    }
+    return Graph(n, edges)
+
+
 def is_bipartite_edges(edges) -> bool:
     """2-colorability of an edge set, one component at a time."""
     adj: dict[int, list[int]] = {}
@@ -87,6 +115,49 @@ def brute_force_max_bipartite(g: Graph) -> set[frozenset]:
             if is_bipartite_edges(subset):
                 bipartite.append(frozenset(subset))
     return {s for s in bipartite if not any(s < t for t in bipartite)}
+
+
+def scan_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph]:
+    """Oracle: scan all 2^(N-1) bipartitions, keep connected spanning cuts.
+
+    Vertex 1 stays on the plus side; bit k of the mask puts vertex k+2 on
+    the plus side, and results come in mask order.
+    """
+    n_vert = g.vertex_count
+    results = []
+    for mask in range((1 << (n_vert - 1)) - 1):
+        # a mask of all ones would leave the minus side empty
+        plus = {1} | {k + 2 for k in range(n_vert - 1) if mask >> k & 1}
+        crossing = tuple(
+            e for e in g.edges if (e[0] in plus) != (e[1] in plus)
+        )
+        if not crossing:
+            continue
+        if not _connected_spanning(crossing, n_vert):
+            continue
+        minus = frozenset(g.vertices()) - plus
+        bip = Bipartition(plus=frozenset(plus), minus=minus)
+        results.append(MaxBipartiteSubgraph(bipartition=bip, edges=crossing))
+    return results
+
+
+def _connected_spanning(edges, vertex_count: int) -> bool:
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if len(adj) != vertex_count:
+        return False
+    start = next(iter(adj))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == vertex_count
 
 
 @pytest.fixture(scope="session")

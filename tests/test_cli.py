@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, JSON schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adjpoly
 from adjpoly.cli import run
 
 
@@ -84,6 +89,43 @@ class TestBipartiteAndSimplicial:
         tri = tmp_path / "c3.txt"
         tri.write_text("1 2\n2 3\n1 3\n")
         assert run(["simplicial", str(tri)]).stdout == "simplicial yes\n"
+
+
+class TestLongPath:
+    """A 40-vertex path: 2^39 bipartitions, one maximal bipartite subgraph."""
+
+    @pytest.fixture()
+    def path40_file(self, tmp_path):
+        path = tmp_path / "path40.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 40)))
+        return str(path)
+
+    @staticmethod
+    def _adjpoly(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(adjpoly.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "adjpoly", *argv],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env=env,
+        )
+
+    def test_bipartite(self, path40_file):
+        result = self._adjpoly("bipartite", path40_file)
+        assert result.returncode == 0
+        assert result.stdout.startswith("maximal bipartite subgraphs: 1\n")
+        assert result.stdout.count("subgraph ") == 1
+
+    def test_simplicial(self, path40_file):
+        result = self._adjpoly("simplicial", path40_file)
+        assert result.returncode == 0
+        assert result.stdout == "simplicial yes\n"
+
+    def test_count_trips_sign_search_guard(self, path40_file):
+        result = self._adjpoly("count", path40_file)
+        assert result.returncode == 2
+        assert "sign search guard: n = 39 > 30" in result.stderr
 
 
 class TestOracleCheck:

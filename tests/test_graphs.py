@@ -1,5 +1,7 @@
 """Graph parsing, maximal bipartite subgraphs, trees, fundamental cycles."""
 
+import random
+
 import pytest
 
 from adjpoly import (
@@ -19,9 +21,38 @@ from adjpoly.geometry import edge_point
 
 from conftest import (
     brute_force_max_bipartite,
+    complete_graph,
     exhaustive_corpus,
     n6_sample_graphs,
+    path_graph,
+    random_connected_graph,
+    scan_maximal_bipartite_subgraphs,
 )
+
+
+def _random_graphs():
+    rng = random.Random(2107)
+    return [
+        random_connected_graph(n, density, rng)
+        for n in range(6, 13)
+        for density in (0.2, 0.4, 0.6, 0.8, 1.0)
+        for _ in range(2)
+    ]
+
+
+def _sparse_graphs():
+    rng = random.Random(12315)
+    return [random_connected_graph(n, 0.1, rng) for n in (13, 14)]
+
+
+# corpora on which the search must equal the bipartition scan, order included
+SCAN_CORPORA = {
+    "exhaustive_n5": lambda: exhaustive_corpus(5),
+    "n6_samples": lambda: n6_sample_graphs().values(),
+    "random_n6_12": _random_graphs,
+    "complete_n2_10": lambda: [complete_graph(n) for n in range(2, 11)],
+    "sparse_n13_14": _sparse_graphs,
+}
 
 
 class TestParseEdgeList:
@@ -115,6 +146,20 @@ class TestMaximalBipartiteSubgraphs:
                 frozenset(b.edges) for b in enumerate_maximal_bipartite_subgraphs(g)
             }
             assert enumerated == brute_force_max_bipartite(g), g.edges
+
+    @pytest.mark.parametrize("corpus", SCAN_CORPORA)
+    def test_matches_scan_oracle_in_order(self, corpus):
+        for g in SCAN_CORPORA[corpus]():
+            expected = scan_maximal_bipartite_subgraphs(g)
+            assert enumerate_maximal_bipartite_subgraphs(g) == expected, g.edges
+
+    @pytest.mark.parametrize("build", [path_graph, cycle_graph], ids=["path", "cycle"])
+    def test_2000_vertices_without_recursion_limit(self, build):
+        # twice the default recursion limit; the even cycle is bipartite too
+        g = build(2000)
+        subs = enumerate_maximal_bipartite_subgraphs(g)
+        assert len(subs) == 1
+        assert subs[0].edges == g.edges
 
     def test_maximality_by_perturbation(self, joined45):
         for b in enumerate_maximal_bipartite_subgraphs(joined45):
