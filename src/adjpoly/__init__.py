@@ -22,7 +22,6 @@ from .errors import (
     AdjPolyError,
     DomainError,
     EdgeInTree,
-    EmptyFace,
     EmptySubset,
     InternalInconsistency,
     NotAFacet,
@@ -37,12 +36,10 @@ from .facets import (
     FacetClass,
     balancing_check,
     build_cycle_system,
-    canonical_facet_pair,
     enumerate_all_facets,
     enumerate_facet_classes,
     enumerate_sign_vectors,
     face_properties,
-    facet_from_sign_vector,
     is_simplicial,
 )
 from .geometry import (
@@ -52,7 +49,6 @@ from .geometry import (
     affine_dimension,
     brute_force_facets,
     configuration_from_graph,
-    incidence_matrix,
     verify_facet,
 )
 from .graphs import (
@@ -71,7 +67,6 @@ from .graphs import (
 from .kuramoto import (
     HomogenizationData,
     SupportSet,
-    face_system_support,
     facet_subsystem_support,
     homogenization_data,
     homotopy_lift,

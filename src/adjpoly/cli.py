@@ -42,9 +42,17 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def print_help(self, file=None) -> None:
+        # --help text belongs in the result's stdout, not in sys.stdout
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -282,8 +290,8 @@ def run(argv: list[str]) -> CommandResult:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         return CommandResult(EXIT_INPUT, "", f"usage error: {exc}\n")
-    except SystemExit as exc:  # argparse --help prints and exits itself
-        return CommandResult(int(exc.code or 0), "", "")
+    except _HelpRequested as exc:
+        return CommandResult(EXIT_OK, exc.args[0], "")
     try:
         code, out = _COMMANDS[args.command](args)
     except _UsageError as exc:

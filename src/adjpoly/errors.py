@@ -37,9 +37,5 @@ class EmptySubset(AdjPolyError):
     """An operation on point subsets received an empty subset."""
 
 
-class EmptyFace(AdjPolyError):
-    """A face-system support was requested for an empty face."""
-
-
 class DomainError(AdjPolyError):
     """Counting formula evaluated outside its domain."""

@@ -10,9 +10,9 @@ value 0 on cycles closed by the remaining edges of G.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from typing import Iterable
 
-from . import linalg
 from .errors import EmptySubset, InternalInconsistency, TooLarge, ValidationError
 from .geometry import (
     Facet,
@@ -20,11 +20,12 @@ from .geometry import (
     PointConfiguration,
     configuration_from_graph,
     decode_point,
-    incidence_matrix,
     verify_facet,
 )
 from .graphs import (
     CycleVector,
+    DirectedEdge,
+    Edge,
     Graph,
     MaxBipartiteSubgraph,
     SpanningTree,
@@ -37,7 +38,6 @@ from .graphs import (
 SignVector = tuple[int, ...]
 
 SIGN_SEARCH_MAX_DIM = 30
-CYCLE_ENUM_MAX_VERTICES = 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,7 +87,8 @@ def enumerate_sign_vectors(sys: CycleConstraintSystem) -> list[SignVector]:
 
     Depth-first assignment over tree-edge positions with interval pruning:
     a partial row sum further from its target set than the remaining
-    unassigned mass of that row can never recover.
+    unassigned mass of that row can never recover, and a +-1 row that
+    closes at 0 is cut.  So every leaf solves every row exactly.
     """
     n = len(sys.tree.edges)
     if n > SIGN_SEARCH_MAX_DIM:
@@ -110,8 +111,11 @@ def enumerate_sign_vectors(sys: CycleConstraintSystem) -> list[SignVector]:
     def feasible(r: int) -> bool:
         s, left = partial[r], remaining[r]
         if targets_pm[r]:
-            return s - left <= 1 and s + left >= -1
+            return s - left <= 1 and s + left >= -1 and (left > 0 or s != 0)
         return abs(s) <= left
+
+    if not all(map(feasible, range(len(rows)))):
+        return []  # a +-1 row with empty support, which no position checks
 
     def extend(k: int) -> None:
         if k == n:
@@ -134,22 +138,8 @@ def enumerate_sign_vectors(sys: CycleConstraintSystem) -> list[SignVector]:
                 remaining[r] += 1
         d[k] = 0
 
-    # at a full assignment feasible() forces zero rows to 0 exactly and
-    # pm rows into {-1, 0, +1}; membership of pm rows in {-1, +1} is by
-    # parity: a row's value has the parity of its support size, and an
-    # even-support pm row could land on 0.  Filter exactly at the leaves.
-    def exact(dv: SignVector) -> bool:
-        for coeffs, is_pm in rows:
-            value = sum(c * x for c, x in zip(coeffs, dv) if c)
-            if is_pm:
-                if value not in (-1, 1):
-                    return False
-            elif value != 0:
-                return False
-        return True
-
     extend(0)
-    return [dv for dv in solutions if exact(dv)]
+    return solutions
 
 
 def _potentials(tree: SpanningTree, d: SignVector) -> list[int]:
@@ -184,27 +174,6 @@ def _facet_from_sign_vector(
             "facet subgraph does not match the generating bipartite subgraph"
         )
     return facet
-
-
-def facet_from_sign_vector(
-    g: Graph, b: MaxBipartiteSubgraph, tree: SpanningTree, d: SignVector
-) -> Facet:
-    """Facet whose tree points carry the signs d; d must solve the system."""
-    return _facet_from_sign_vector(configuration_from_graph(g), b, tree, d)
-
-
-def canonical_facet_pair(g: Graph, b: MaxBipartiteSubgraph) -> tuple[Facet, Facet]:
-    """The facet of all crossing edges oriented minus -> plus, and its negative.
-
-    These are the facets of the all-(+1) and all-(-1) sign vectors, which
-    solve the cycle system for every maximal bipartite subgraph.
-    """
-    cfg = configuration_from_graph(g)
-    tree = spanning_tree(b)
-    n = len(tree.edges)
-    plus = _facet_from_sign_vector(cfg, b, tree, (1,) * n)
-    minus = _facet_from_sign_vector(cfg, b, tree, (-1,) * n)
-    return plus, minus
 
 
 def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
@@ -251,9 +220,11 @@ def face_properties(
 ) -> FaceProperties:
     """Geometric properties of a subset of a facet, read off its subgraph.
 
-    dim is the incidence-matrix rank minus one (equivalently |V| - k - 1),
-    corank is |points| - dim - 1, independence means the subgraph is a
-    forest, and circuit means it is exactly one chordless cycle.
+    For a subgraph touching |V| vertices in k components, dim is
+    |V| - k - 1 (the rank of its edge vectors, minus one), corank is
+    |points| - dim - 1, independence means the subgraph is a forest, and
+    circuit means it is exactly one chordless cycle.  A point and its
+    negative lie on no common face and raise ValidationError.
     """
     if isinstance(facet_or_point_subset, Facet):
         directed = list(facet_or_point_subset.directed_edges)
@@ -263,12 +234,13 @@ def face_properties(
     if not directed:
         raise EmptySubset("point subset is empty")
 
-    edges = set()
+    edges: dict[Edge, DirectedEdge] = {}
     for i, j in directed:
         e = (i, j) if i < j else (j, i)
         if e not in g.edge_index:
             raise ValidationError(f"point encodes edge {e} not in the graph")
-        edges.add(e)
+        if edges.setdefault(e, (i, j)) != (i, j):
+            raise ValidationError(f"points of both orientations of edge {e}")
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
@@ -287,10 +259,7 @@ def face_properties(
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-    rank = linalg.integer_rank(
-        incidence_matrix(directed, g.vertex_count, truncated=True)
-    )
-    dim = rank - 1
+    dim = len(adj) - component_count - 1
     corank = len(directed) - dim - 1
     independent = len(edges) == len(adj) - component_count
     circuit = (
@@ -307,54 +276,29 @@ def face_properties(
     )
 
 
-def all_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """All simple cycles as vertex tuples, each listed once.
-
-    A cycle is anchored at its smallest vertex and traversed toward its
-    smaller neighbor first, which fixes one of the two directions.
-    """
-    if g.vertex_count > CYCLE_ENUM_MAX_VERTICES:
-        raise TooLarge(
-            f"cycle enumeration guard: N = {g.vertex_count} > "
-            f"{CYCLE_ENUM_MAX_VERTICES}"
-        )
-    cycles: list[tuple[int, ...]] = []
-
-    def extend(path: list[int], on_path: set[int]) -> None:
-        tip = path[-1]
-        start = path[0]
-        for w in g.adjacency[tip]:
-            if w == start and len(path) >= 3 and path[1] < path[-1]:
-                cycles.append(tuple(path))
-            elif w > start and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                extend(path, on_path)
-                on_path.remove(w)
-                path.pop()
-
-    for s in g.vertices():
-        extend([s], {s})
-    return cycles
-
-
 def balancing_check(g: Graph, facet: Facet) -> bool:
-    """Every cycle meets the directed facet subgraph half and half.
+    """Every cycle of g meets the directed facet subgraph half and half.
 
-    Checks, for each simple cycle with a chosen coherent orientation, that
-    the facet's directed edges split evenly between the two directions.
+    A directed facet edge (t, h) weighs +1 when walked from t to h and -1
+    when walked back; other edges weigh 0.  A cycle is balanced iff its
+    weights sum to 0.  That sum is linear on the cycle space, which the
+    fundamental cycles of any spanning tree span, so every cycle balances
+    iff the weights are differences of vertex potentials.  One BFS from
+    vertex 1 carries the potentials along its tree and checks every other
+    edge: O(N + m) at any N.
     """
     directed = set(facet.directed_edges)
-    for cycle in all_cycles(g):
-        forward = backward = 0
-        for idx, u in enumerate(cycle):
-            v = cycle[(idx + 1) % len(cycle)]
-            if (u, v) in directed:
-                forward += 1
-            elif (v, u) in directed:
-                backward += 1
-        if forward != backward:
-            return False
+    potential = {1: 0}
+    queue = deque([1])
+    while queue:
+        u = queue.popleft()
+        for v in g.adjacency[u]:
+            expected = potential[u] + ((u, v) in directed) - ((v, u) in directed)
+            if v not in potential:
+                potential[v] = expected
+                queue.append(v)
+            elif potential[v] != expected:
+                return False
     return True
 
 

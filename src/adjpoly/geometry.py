@@ -50,22 +50,6 @@ def decode_point(point: Point) -> DirectedEdge:
     return (tail, head)
 
 
-def incidence_matrix(
-    directed_edges: Iterable[DirectedEdge], vertex_count: int, truncated: bool = True
-) -> tuple[tuple[int, ...], ...]:
-    """Columns of the (truncated) incidence matrix of a directed subgraph.
-
-    The column for (i, j) is e_i - e_j over vertex coordinates 1..N; the
-    truncated form drops the vertex-1 row, which makes the columns exactly
-    the configuration points of the edges.  Full-form columns sum to 0.
-    """
-    columns = []
-    for tail, head in directed_edges:
-        reduced = edge_point(vertex_count - 1, tail, head)
-        columns.append(reduced if truncated else (-sum(reduced),) + reduced)
-    return tuple(columns)
-
-
 class PointConfiguration:
     """The 2m signed edge vectors of a graph, in deterministic order.
 
@@ -86,17 +70,6 @@ class PointConfiguration:
             directed.append((j, i))
         self.points: tuple[Point, ...] = tuple(points)
         self.directed_edges: tuple[DirectedEdge, ...] = tuple(directed)
-        self.point_index: dict[Point, int] = {p: i for i, p in enumerate(points)}
-
-    def index_of_directed_edge(self, edge: DirectedEdge) -> int:
-        i, j = edge
-        key = (i, j) if i < j else (j, i)
-        k = self.graph.edge_index[key]
-        return 2 * k + (0 if i < j else 1)
-
-    def lift(self, point: Point) -> tuple[int, ...]:
-        """Embed into R^N by prepending the negated coordinate sum."""
-        return (-sum(point),) + point
 
     def __len__(self) -> int:
         return len(self.points)
@@ -108,18 +81,15 @@ def configuration_from_graph(g: Graph) -> PointConfiguration:
 
 @dataclasses.dataclass(frozen=True)
 class InnerNormal:
-    """Primitive integer inner normal with its normalizing scale.
+    """Primitive integer inner normal of a facet.
 
-    scale * coeffs is the normalized inner normal: it attains minimum -1
-    over the configuration.  For genuine facets of these configurations
-    the primitive normal already attains -1, so scale is 1.
+    It attains minimum -1 over the configuration with no rescaling:
+    symmetric edge polytopes are reflexive (Matsui, Higashitani,
+    Nagazawa, Ohsugi and Hibi, 2011), so every facet is {x : <x, a> = -1}
+    for an integer a, and that a is primitive.
     """
 
     coeffs: tuple[int, ...]
-    scale: Fraction
-
-    def normalized(self) -> tuple[Fraction, ...]:
-        return tuple(self.scale * c for c in self.coeffs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,9 +121,10 @@ def _as_integer_coeffs(normal: InnerNormal | Sequence) -> tuple[int, ...]:
 def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence) -> Facet:
     """Check that a normal supports a facet and assemble it.
 
-    The minimizer set of <., normal> must be (n-1)-dimensional; then the
-    rescaled normal attains exactly -1 on it and > -1 elsewhere.  Raises
-    ZeroNormal or NotAFacet otherwise.
+    The minimizer set of <., normal> must be (n-1)-dimensional, else
+    ZeroNormal or NotAFacet is raised.  By reflexivity the primitive
+    normal of a facet then attains exactly -1 on it and > -1 elsewhere;
+    any other minimum raises InternalInconsistency.
     """
     coeffs = _as_integer_coeffs(normal)
     if len(coeffs) != cfg.dim:
@@ -175,13 +146,16 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence) -> Fac
         raise NotAFacet(
             f"minimizer set has affine dimension != {cfg.dim - 1}"
         )
-    return _assemble_facet(cfg, coeffs, minimum, min_indices)
+    if minimum != -1:
+        raise InternalInconsistency(
+            f"facet normal {coeffs} attains minimum {minimum}, not -1"
+        )
+    return _assemble_facet(cfg, coeffs, min_indices)
 
 
 def _assemble_facet(
     cfg: PointConfiguration,
     primitive_coeffs: tuple[int, ...],
-    minimum: int,
     min_indices: tuple[int, ...],
 ) -> Facet:
     directed = tuple(cfg.directed_edges[i] for i in min_indices)
@@ -195,7 +169,7 @@ def _assemble_facet(
     bipartition = _two_color(subgraph_edges, cfg.graph.vertex_count)
     dim = cfg.dim - 1
     return Facet(
-        normal=InnerNormal(coeffs=primitive_coeffs, scale=Fraction(-1, minimum)),
+        normal=InnerNormal(coeffs=primitive_coeffs),
         point_indices=min_indices,
         subgraph_edges=subgraph_edges,
         directed_edges=directed,

@@ -20,11 +20,6 @@ Edge = tuple[int, int]
 DirectedEdge = tuple[int, int]
 
 
-def reverse_edge(edge: DirectedEdge) -> DirectedEdge:
-    """Negation of a directed edge: -(i, j) = (j, i)."""
-    return (edge[1], edge[0])
-
-
 class Graph:
     """Simple connected undirected graph on vertices 1..N.
 
@@ -76,9 +71,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_index
 
     def _is_connected(self) -> bool:
         seen = {1}
@@ -145,9 +137,6 @@ class Bipartition:
         if v in self.minus:
             return -1
         raise KeyError(v)
-
-    def crosses(self, edge: Edge) -> bool:
-        return self.side(edge[0]) != self.side(edge[1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -419,9 +408,6 @@ class CycleVector:
 
     non_tree_edge: DirectedEdge
     coeffs: tuple[int, ...]
-
-    def dot(self, d: tuple[int, ...]) -> int:
-        return sum(c * dk for c, dk in zip(self.coeffs, d) if c)
 
 
 def fundamental_cycle(t: SpanningTree, e: Edge) -> CycleVector:

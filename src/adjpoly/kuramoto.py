@@ -13,9 +13,9 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import EmptyFace, InternalInconsistency
+from .errors import InternalInconsistency
 from .facets import enumerate_all_facets
 from .geometry import Facet, Point, configuration_from_graph
 from .graphs import Graph
@@ -23,10 +23,9 @@ from .graphs import Graph
 
 @dataclasses.dataclass(frozen=True)
 class SupportSet:
-    """Exponent vectors in Z^(N-1), sorted lexicographically."""
+    """Exponent vectors in Z^(N-1), origin included, sorted lexicographically."""
 
     vectors: tuple[Point, ...]
-    include_origin: bool
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -37,7 +36,7 @@ def unmixed_support(g: Graph) -> SupportSet:
     cfg = configuration_from_graph(g)
     origin = (0,) * cfg.dim
     vectors = tuple(sorted(set(cfg.points) | {origin}))
-    return SupportSet(vectors=vectors, include_origin=True)
+    return SupportSet(vectors=vectors)
 
 
 def homotopy_lift(s: SupportSet) -> list[tuple[Point, int]]:
@@ -50,15 +49,7 @@ def facet_subsystem_support(g: Graph, facet: Facet) -> SupportSet:
     cfg = configuration_from_graph(g)
     origin = (0,) * cfg.dim
     vectors = tuple(sorted(set(facet.points(cfg)) | {origin}))
-    return SupportSet(vectors=vectors, include_origin=True)
-
-
-def face_system_support(g: Graph, face_points: Iterable[Point]) -> SupportSet:
-    """Support of a face system: exactly the face's points, no origin."""
-    vectors = tuple(sorted(set(tuple(p) for p in face_points)))
-    if not vectors:
-        raise EmptyFace("face system needs a nonempty face")
-    return SupportSet(vectors=vectors, include_origin=False)
+    return SupportSet(vectors=vectors)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,23 +74,15 @@ class HomogenizationData:
 def homogenization_data(g: Graph) -> HomogenizationData:
     """V and h over the full facet enumeration, in enumeration order.
 
-    h_i is the exact minimum of <., alpha_i> over the configuration in the
-    primitive scaling.  Soundness of the lift is asserted: every support
-    point maps to a nonnegative exponent vector, zero somewhere for each
-    configuration point and nowhere for the origin.
+    h_i is the minimum of <., alpha_i> over the configuration: -1 for
+    every primitive facet normal, which verify_facet asserts as it builds
+    each facet (see InnerNormal).  Soundness of the lift is asserted: every
+    support point maps to a nonnegative exponent vector, zero somewhere for
+    each configuration point and nowhere for the origin.
     """
     cfg = configuration_from_graph(g)
-    facets = enumerate_all_facets(g)
-    rows = []
-    offsets = []
-    for facet in facets:
-        coeffs = facet.normal.coeffs
-        minimum = min(
-            sum(c * x for c, x in zip(coeffs, point) if x) for point in cfg.points
-        )
-        rows.append(coeffs)
-        offsets.append(minimum)
-    data = HomogenizationData(rows=tuple(rows), offsets=tuple(offsets))
+    rows = tuple(f.normal.coeffs for f in enumerate_all_facets(g))
+    data = HomogenizationData(rows=rows, offsets=(-1,) * len(rows))
 
     origin = (0,) * cfg.dim
     for point in cfg.points:

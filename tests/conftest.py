@@ -160,6 +160,50 @@ def _connected_spanning(edges, vertex_count: int) -> bool:
     return len(seen) == vertex_count
 
 
+def all_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """Oracle: all simple cycles as vertex tuples, each listed once.
+
+    A cycle is anchored at its smallest vertex and traversed toward its
+    smaller neighbor first, which fixes one of the two directions.  The
+    count grows exponentially with N.
+    """
+    cycles: list[tuple[int, ...]] = []
+
+    def extend(path: list[int], on_path: set[int]) -> None:
+        tip = path[-1]
+        start = path[0]
+        for w in g.adjacency[tip]:
+            if w == start and len(path) >= 3 and path[1] < path[-1]:
+                cycles.append(tuple(path))
+            elif w > start and w not in on_path:
+                path.append(w)
+                on_path.add(w)
+                extend(path, on_path)
+                on_path.remove(w)
+                path.pop()
+
+    for s in g.vertices():
+        extend([s], {s})
+    return cycles
+
+
+def balanced_on_all_cycles(cycles, directed_edges) -> bool:
+    """Oracle: each of the cycles (vertex tuples, as from all_cycles) meets
+    the directed edges half and half."""
+    directed = set(directed_edges)
+    for cycle in cycles:
+        forward = backward = 0
+        for idx, u in enumerate(cycle):
+            v = cycle[(idx + 1) % len(cycle)]
+            if (u, v) in directed:
+                forward += 1
+            elif (v, u) in directed:
+                backward += 1
+        if forward != backward:
+            return False
+    return True
+
+
 @pytest.fixture(scope="session")
 def joined45_path() -> Path:
     return DATA / "joined_4_5.txt"

@@ -29,9 +29,13 @@ from adjpoly import (
 )
 from adjpoly.cli import run
 from adjpoly.counting import cycle_graph
-from adjpoly.facets import all_cycles
 
-from conftest import exhaustive_corpus, is_bipartite_edges, n6_sample_graphs
+from conftest import (
+    all_cycles,
+    exhaustive_corpus,
+    is_bipartite_edges,
+    n6_sample_graphs,
+)
 
 
 def _report(number: int, description: str) -> None:

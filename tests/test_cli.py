@@ -228,6 +228,25 @@ class TestErrorsAndFlags:
         assert run(["count", c4_file, "--json", "--quiet"]).stdout
         assert run(["kuramoto-support", c4_file, "--quiet"]).stdout
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["--help"], "usage: adjpoly [-h]"), (["count", "--help"], "usage: adjpoly count")],
+        ids=["main", "count"],
+    )
+    def test_help_returned_not_printed(self, argv, usage, capsys):
+        result = run(argv)
+        assert capsys.readouterr() == ("", "")
+        assert result.exit_code == 0
+        assert result.stdout.startswith(usage)
+        assert result.stderr == ""
+
+    def test_help_on_command_line_unchanged(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        result = TestLongPath._adjpoly("--help")
+        assert result.returncode == 0
+        assert result.stdout == run(["--help"]).stdout
+        assert result.stderr == ""
+
     def test_diagnostics_only_on_stderr(self, c4_file):
         ok = run(["count", c4_file])
         assert ok.stderr == ""

@@ -1,17 +1,21 @@
 """Sign-vector facet enumeration, face properties, balancing, simpliciality."""
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
 from adjpoly import (
+    CycleConstraintSystem,
+    CycleVector,
     EmptySubset,
     Facet,
     InnerNormal,
+    ValidationError,
     balancing_check,
     brute_force_facets,
     build_cycle_system,
-    canonical_facet_pair,
     configuration_from_graph,
     cyclomatic_number,
     enumerate_all_facets,
@@ -19,16 +23,24 @@ from adjpoly import (
     enumerate_maximal_bipartite_subgraphs,
     enumerate_sign_vectors,
     face_properties,
-    facet_from_sign_vector,
     has_even_cycle,
     is_simplicial,
     parse_edge_list,
     spanning_tree,
+    verify_facet,
 )
 from adjpoly.counting import cycle_graph
-from adjpoly.facets import all_cycles
+from adjpoly.linalg import integer_rank
 
-from conftest import exhaustive_corpus, is_bipartite_edges, n6_sample_graphs
+from conftest import (
+    all_cycles,
+    balanced_on_all_cycles,
+    exhaustive_corpus,
+    is_bipartite_edges,
+    n6_sample_graphs,
+    path_graph,
+    random_connected_graph,
+)
 
 
 def _subgraph_by_edges(g, edges):
@@ -42,46 +54,61 @@ def _subgraph_by_edges(g, edges):
     return matches[0]
 
 
-class TestCanonicalFacetPair:
+def _class_of(g, b):
+    (cls,) = [c for c in enumerate_facet_classes(g) if c.subgraph == b]
+    return cls
+
+
+def _dot(row, d):
+    return sum(c * x for c, x in zip(row.coeffs, d))
+
+
+def _scan_sign_vectors(sys):
+    """Oracle: every sign vector, kept if it solves every row exactly."""
+    return [
+        d
+        for d in itertools.product((-1, 1), repeat=len(sys.tree.edges))
+        if all(_dot(r, d) in (-1, 1) for r in sys.rows_pm)
+        and all(_dot(r, d) == 0 for r in sys.rows_zero)
+    ]
+
+
+class TestSignOrderEnds:
+    """A class starts with the facet of the all-(-1) sign vector, every
+    crossing edge oriented plus -> minus, and ends with the all-(+1) one,
+    oriented minus -> plus."""
+
     def test_k2(self):
         g = parse_edge_list("1 2")
-        b = enumerate_maximal_bipartite_subgraphs(g)[0]
-        plus, minus = canonical_facet_pair(g, b)
+        (cls,) = enumerate_facet_classes(g)
         cfg = configuration_from_graph(g)
-        assert {plus.points(cfg), minus.points(cfg)} == {((1,),), ((-1,),)}
+        ends = {cls.facets[0].points(cfg), cls.facets[-1].points(cfg)}
+        assert ends == {((1,),), ((-1,),)}
 
     def test_c4_half_vector_normals(self):
-        g = cycle_graph(4)
-        b = enumerate_maximal_bipartite_subgraphs(g)[0]
-        plus, minus = canonical_facet_pair(g, b)
-        assert plus.normal.coeffs == (-1, 0, -1)
-        assert minus.normal.coeffs == (1, 0, 1)
-        assert len(plus.point_indices) == 4
+        (cls,) = enumerate_facet_classes(cycle_graph(4))
+        assert cls.facets[-1].normal.coeffs == (-1, 0, -1)
+        assert cls.facets[0].normal.coeffs == (1, 0, 1)
+        assert len(cls.facets[-1].point_indices) == 4
 
     def test_triangle_path_subgraph(self):
         g = cycle_graph(3)
-        b = _subgraph_by_edges(g, [(1, 2), (2, 3)])
-        plus, minus = canonical_facet_pair(g, b)
+        cls = _class_of(g, _subgraph_by_edges(g, [(1, 2), (2, 3)]))
         cfg = configuration_from_graph(g)
         # crossing edges oriented into V+ = {1, 3}: points (2,1) and (2,3)
-        assert set(plus.points(cfg)) == {(1, 0), (1, -1)}
-        assert set(minus.points(cfg)) == {(-1, 0), (-1, 1)}
+        assert set(cls.facets[-1].points(cfg)) == {(1, 0), (1, -1)}
+        assert set(cls.facets[0].points(cfg)) == {(-1, 0), (-1, 1)}
 
-    def test_pair_members_of_class(self, joined45):
-        classes = enumerate_facet_classes(joined45)
-        for cls in classes:
-            plus, minus = canonical_facet_pair(joined45, cls.subgraph)
-            normals = {f.normal.coeffs for f in cls.facets}
-            assert plus.normal.coeffs in normals
-            assert minus.normal.coeffs in normals
-
-    def test_canonical_orientation_minus_to_plus(self):
-        g = cycle_graph(4)
-        b = enumerate_maximal_bipartite_subgraphs(g)[0]
-        plus, _ = canonical_facet_pair(g, b)
-        for tail, head in plus.directed_edges:
-            assert b.bipartition.side(tail) == -1
-            assert b.bipartition.side(head) == 1
+    def test_ends_of_every_class(self, joined45):
+        for g in list(exhaustive_corpus(5)) + [joined45]:
+            for cls in enumerate_facet_classes(g):
+                ds = enumerate_sign_vectors(build_cycle_system(g, cls.subgraph))
+                assert ds[0] == (-1,) * g.n and ds[-1] == (1,) * g.n
+                side = cls.subgraph.bipartition.side
+                first, last = cls.facets[0], cls.facets[-1]
+                assert all(side(t) == 1 == -side(h) for t, h in first.directed_edges)
+                assert all(side(t) == -1 == -side(h) for t, h in last.directed_edges)
+                assert first.normal.coeffs == tuple(-c for c in last.normal.coeffs)
 
 
 class TestCycleSystem:
@@ -145,14 +172,28 @@ class TestEnumerateSignVectors:
         for g in graphs:
             for b in enumerate_maximal_bipartite_subgraphs(g):
                 sys = build_cycle_system(g, b)
-                fast = enumerate_sign_vectors(sys)
-                slow = [
-                    d
-                    for d in itertools.product((-1, 1), repeat=g.n)
-                    if all(r.dot(d) in (-1, 1) for r in sys.rows_pm)
-                    and all(r.dot(d) == 0 for r in sys.rows_zero)
-                ]
-                assert fast == slow
+                assert enumerate_sign_vectors(sys) == _scan_sign_vectors(sys)
+
+    def test_hand_built_systems_exact(self):
+        # a +-1 row with even support has an even value, so it can close
+        # at 0 and never reaches its target; every leaf must still be exact
+        tree = spanning_tree(enumerate_maximal_bipartite_subgraphs(path_graph(5))[0])
+        even_pm = CycleVector(non_tree_edge=(1, 3), coeffs=(1, -1, 0, 0))
+        odd_pm = CycleVector(non_tree_edge=(1, 4), coeffs=(1, 1, -1, 0))
+        zero = CycleVector(non_tree_edge=(2, 5), coeffs=(0, 1, 1, 0))
+        empty_pm = CycleVector(non_tree_edge=(1, 5), coeffs=(0, 0, 0, 0))
+        cases = [
+            ((even_pm,), ()),
+            ((even_pm,), (zero,)),
+            ((odd_pm,), (zero,)),
+            ((odd_pm, even_pm), ()),
+            ((empty_pm,), ()),
+        ]
+        for rows_pm, rows_zero in cases:
+            sys = CycleConstraintSystem(tree=tree, rows_pm=rows_pm, rows_zero=rows_zero)
+            solutions = enumerate_sign_vectors(sys)
+            assert solutions == _scan_sign_vectors(sys)
+            assert (solutions == []) == (even_pm in rows_pm or empty_pm in rows_pm)
 
     def test_binary_order(self):
         g = cycle_graph(4)
@@ -163,20 +204,11 @@ class TestEnumerateSignVectors:
 
 
 class TestFacetFromSignVector:
-    def test_c4_all_ones_is_canonical(self):
-        g = cycle_graph(4)
-        b = enumerate_maximal_bipartite_subgraphs(g)[0]
-        tree = spanning_tree(b)
-        facet = facet_from_sign_vector(g, b, tree, (1, 1, 1))
-        plus, _ = canonical_facet_pair(g, b)
-        assert facet == plus
-
     def test_c4_bijection_with_oracle(self):
         g = cycle_graph(4)
-        b = enumerate_maximal_bipartite_subgraphs(g)[0]
-        tree = spanning_tree(b)
-        ds = enumerate_sign_vectors(build_cycle_system(g, b))
-        fast = {facet_from_sign_vector(g, b, tree, d).normal.coeffs for d in ds}
+        (cls,) = enumerate_facet_classes(g)
+        ds = enumerate_sign_vectors(build_cycle_system(g, cls.subgraph))
+        fast = {f.normal.coeffs for f in cls.facets}
         oracle = {
             f.normal.coeffs
             for f in brute_force_facets(configuration_from_graph(g))
@@ -186,27 +218,24 @@ class TestFacetFromSignVector:
 
     def test_joined_cycles_corank1_shape(self, joined45):
         b = _subgraph_by_edges(joined45, set(joined45.edges) - {(1, 7)})
-        tree = spanning_tree(b)
-        ds = enumerate_sign_vectors(build_cycle_system(joined45, b))
-        assert len(ds) == 18
-        for d in ds:
-            facet = facet_from_sign_vector(joined45, b, tree, d)
+        facets = _class_of(joined45, b).facets
+        assert len(facets) == 18
+        for facet in facets:
             # one point per edge of the 7-edge subgraph
             assert len(facet.point_indices) == 7
             assert facet.dim == 5
             assert facet.corank == 1
 
-    def test_signed_tree_points_lie_on_facet(self):
-        g = cycle_graph(4)
-        b = enumerate_maximal_bipartite_subgraphs(g)[0]
-        tree = spanning_tree(b)
-        cfg = configuration_from_graph(g)
-        for d in enumerate_sign_vectors(build_cycle_system(g, b)):
-            facet = facet_from_sign_vector(g, b, tree, d)
-            points = set(facet.points(cfg))
-            for dk, oriented in zip(d, tree.oriented):
-                tail, head = oriented if dk == 1 else (oriented[1], oriented[0])
-                assert cfg.points[cfg.index_of_directed_edge((tail, head))] in points
+    def test_signed_tree_points_lie_on_facet(self, joined45):
+        for g in (cycle_graph(4), joined45):
+            for cls in enumerate_facet_classes(g):
+                system = build_cycle_system(g, cls.subgraph)
+                ds = enumerate_sign_vectors(system)
+                assert len(ds) == len(cls.facets)
+                for d, facet in zip(ds, cls.facets):
+                    for dk, oriented in zip(d, system.tree.oriented):
+                        edge = oriented if dk == 1 else oriented[::-1]
+                        assert edge in facet.directed_edges
 
 
 class TestEnumerateAllFacets:
@@ -285,6 +314,25 @@ class TestFaceProperties:
         with pytest.raises(EmptySubset):
             face_properties(cycle_graph(4), [])
 
+    def test_point_and_its_negative_rejected(self):
+        # no face holds both orientations of an edge
+        g = cycle_graph(4)
+        cfg = configuration_from_graph(g)
+        with pytest.raises(ValidationError, match=r"edge \(1, 2\)"):
+            face_properties(g, [cfg.points[0], cfg.points[1]])
+
+    def test_dim_is_rank_minus_one_on_facet_subsets(self, joined45):
+        # facet points span an affine hull that misses the origin, so their
+        # affine dimension is their rank minus one
+        rng = random.Random(6)
+        sample = n6_sample_graphs()
+        for g in (cycle_graph(5), joined45, sample["k33"], sample["wheel"]):
+            cfg = configuration_from_graph(g)
+            for facet in enumerate_all_facets(g):
+                points = facet.points(cfg)
+                subset = rng.sample(points, rng.randint(1, len(points)))
+                assert face_properties(g, subset).dim == integer_rank(subset) - 1
+
     def test_matches_graph_formulas(self, joined45):
         for facet in enumerate_all_facets(joined45):
             props = face_properties(joined45, facet)
@@ -360,13 +408,67 @@ class TestBalancing:
             frozenset({1, 2, 3, 4, 5, 6, 7}),
         }
 
+    def test_matches_cycle_oracle_on_facets(self):
+        checked = 0
+        for g in exhaustive_corpus(5):
+            cycles = all_cycles(g)
+            for facet in enumerate_all_facets(g):
+                assert balanced_on_all_cycles(cycles, facet.directed_edges)
+                assert balancing_check(g, facet)
+                checked += 1
+        assert checked > 10_000
+
+    def test_matches_cycle_oracle_on_random_edge_sets(self):
+        rng = random.Random(2024)
+        graphs = list(exhaustive_corpus(4)) + [
+            random_connected_graph(rng.randint(4, 8), rng.uniform(0.2, 0.8), rng)
+            for _ in range(60)
+        ]
+        verdicts = {True: 0, False: 0}
+        for g in graphs:
+            cycles = all_cycles(g)
+            template = enumerate_all_facets(g)[0]
+            for _ in range(8):
+                if rng.random() < 0.5:
+                    # tight edges of 0/1 potentials, oriented upward: balanced
+                    pot = {v: rng.randint(0, 1) for v in g.vertices()}
+                    directed = [
+                        (u, v) if pot[v] > pot[u] else (v, u)
+                        for u, v in g.edges
+                        if pot[u] != pot[v]
+                    ]
+                else:
+                    directed = [
+                        (u, v) if rng.random() < 0.5 else (v, u)
+                        for u, v in g.edges
+                        if rng.random() < 0.7
+                    ]
+                fake = dataclasses.replace(template, directed_edges=tuple(directed))
+                expected = balanced_on_all_cycles(cycles, directed)
+                assert balancing_check(g, fake) == expected, (g.edges, directed)
+                verdicts[expected] += 1
+        assert min(verdicts.values()) > 100
+
+    def test_c40_facet(self):
+        # alternating 0/1 potentials make every edge of C40 tight
+        g = cycle_graph(40)
+        cfg = configuration_from_graph(g)
+        facet = verify_facet(cfg, tuple((v - 1) % 2 for v in range(2, 41)))
+        assert len(facet.directed_edges) == 40
+        assert balancing_check(g, facet)
+        flipped = ((2, 1),) + facet.directed_edges[1:]
+        assert facet.directed_edges[0] == (1, 2)
+        assert not balancing_check(
+            g, dataclasses.replace(facet, directed_edges=flipped)
+        )
+
     def test_unbalanced_orientation_rejected(self):
         # orient three of C4's edges forward and one backward around the
         # cycle: the quadruple covers C4 but meets it 3-to-1
         g = cycle_graph(4)
         template = enumerate_all_facets(g)[0]
         bad = Facet(
-            normal=InnerNormal(coeffs=(1, 1, 1), scale=template.normal.scale),
+            normal=InnerNormal(coeffs=(1, 1, 1)),
             point_indices=template.point_indices,
             subgraph_edges=template.subgraph_edges,
             directed_edges=((1, 2), (2, 3), (3, 4), (1, 4)),

@@ -5,10 +5,8 @@ from fractions import Fraction
 import pytest
 
 from adjpoly import (
-    EmptyFace,
     enumerate_all_facets,
     configuration_from_graph,
-    face_system_support,
     facet_subsystem_support,
     homogenization_data,
     homotopy_lift,
@@ -74,35 +72,12 @@ class TestFacetSubsystemSupport:
         # 7 facet points (one per subgraph edge) plus the origin
         assert len(facet_subsystem_support(joined45, facet)) == 8
 
-    def test_strip_origin_gives_face_support(self, joined45):
+    def test_strip_origin_gives_facet_points(self, joined45):
         cfg = configuration_from_graph(joined45)
         for facet in enumerate_all_facets(joined45)[:10]:
             subsystem = facet_subsystem_support(joined45, facet)
-            face = face_system_support(joined45, facet.points(cfg))
             origin = (0,) * cfg.dim
-            assert set(subsystem.vectors) - {origin} == set(face.vectors)
-
-
-class TestFaceSystemSupport:
-    def test_c4_facet_points_only(self):
-        g = cycle_graph(4)
-        cfg = configuration_from_graph(g)
-        facet = enumerate_all_facets(g)[0]
-        support = face_system_support(g, facet.points(cfg))
-        assert set(support.vectors) == set(facet.points(cfg))
-        assert not support.include_origin
-
-    def test_triangle_edge_face(self):
-        # facets of the triangle's hexagon are its edges: 1-faces of 2 points
-        g = cycle_graph(3)
-        cfg = configuration_from_graph(g)
-        facet = enumerate_all_facets(g)[0]
-        support = face_system_support(g, facet.points(cfg))
-        assert len(support) == 2
-
-    def test_empty_face(self):
-        with pytest.raises(EmptyFace):
-            face_system_support(cycle_graph(3), [])
+            assert set(subsystem.vectors) - {origin} == set(facet.points(cfg))
 
 
 class TestHomogenization:
