@@ -92,7 +92,10 @@ def enumerate_sign_vectors(sys: CycleConstraintSystem) -> list[SignVector]:
     """
     n = len(sys.tree.edges)
     if n > SIGN_SEARCH_MAX_DIM:
-        raise TooLarge(f"sign search guard: n = {n} > {SIGN_SEARCH_MAX_DIM}")
+        raise TooLarge(
+            f"sign search guard: n = {n} > {SIGN_SEARCH_MAX_DIM} tree edges; "
+            f"the search would try up to 2^{n} = {1 << n} sign vectors"
+        )
     rows = [(row.coeffs, False) for row in sys.rows_zero] + [
         (row.coeffs, True) for row in sys.rows_pm
     ]
@@ -223,8 +226,9 @@ def face_properties(
     For a subgraph touching |V| vertices in k components, dim is
     |V| - k - 1 (the rank of its edge vectors, minus one), corank is
     |points| - dim - 1, independence means the subgraph is a forest, and
-    circuit means it is exactly one chordless cycle.  A point and its
-    negative lie on no common face and raise ValidationError.
+    circuit means it is exactly one chordless cycle.  A repeated point, or
+    points that lie on no common face (such as a point and its negative),
+    raise ValidationError.
     """
     if isinstance(facet_or_point_subset, Facet):
         directed = list(facet_or_point_subset.directed_edges)
@@ -239,8 +243,13 @@ def face_properties(
         e = (i, j) if i < j else (j, i)
         if e not in g.edge_index:
             raise ValidationError(f"point encodes edge {e} not in the graph")
-        if edges.setdefault(e, (i, j)) != (i, j):
+        if e in edges:
+            if edges[e] == (i, j):
+                raise ValidationError(f"repeated point of edge {(i, j)}")
             raise ValidationError(f"points of both orientations of edge {e}")
+        edges[e] = (i, j)
+    if not _on_common_face(g, directed):
+        raise ValidationError("the points lie on no common face")
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
@@ -274,6 +283,30 @@ def face_properties(
         circuit=circuit,
         component_count=component_count,
     )
+
+
+def _on_common_face(g: Graph, directed: list[DirectedEdge]) -> bool:
+    """Whether the points of the directed edges lie on one proper face.
+
+    They do iff some potentials f satisfy f(h) - f(t) = 1 on every given
+    (t, h) and |f(u) - f(v)| <= 1 on every edge, since every face lies on
+    a hyperplane <x, a> = -1 supporting the polytope.  These difference
+    constraints are feasible iff their graph has no negative cycle, which
+    Bellman-Ford decides in O(N m) integer steps.
+    """
+    # arc (u, v, w) encodes f(v) - f(u) <= w
+    arcs = [(u, v, 1) for u, v in g.edges] + [(v, u, 1) for u, v in g.edges]
+    arcs += [(h, t, -1) for t, h in directed]
+    dist = [0] * (g.vertex_count + 1)
+    for _ in range(g.vertex_count):
+        changed = False
+        for u, v, w in arcs:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                changed = True
+        if not changed:
+            return True
+    return False
 
 
 def balancing_check(g: Graph, facet: Facet) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections import deque
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -111,20 +110,27 @@ class Facet:
 def _as_integer_coeffs(normal: InnerNormal | Sequence) -> tuple[int, ...]:
     if isinstance(normal, InnerNormal):
         return normal.coeffs
-    values = [Fraction(v) for v in normal]
+    values = tuple(normal)
+    if all(isinstance(v, int) for v in values):
+        return values
+    rationals = [Fraction(v) for v in values]
     den = 1
-    for v in values:
+    for v in rationals:
         den = den * v.denominator // math.gcd(den, v.denominator)
-    return tuple(int(v * den) for v in values)
+    return tuple(int(v * den) for v in rationals)
 
 
 def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence) -> Facet:
     """Check that a normal supports a facet and assemble it.
 
-    The minimizer set of <., normal> must be (n-1)-dimensional, else
-    ZeroNormal or NotAFacet is raised.  By reflexivity the primitive
-    normal of a facet then attains exactly -1 on it and > -1 elsewhere;
-    any other minimum raises InternalInconsistency.
+    The normal a is read as vertex potentials with vertex 1 at 0, so the
+    point of (t, h) takes a_t - a_h in O(1); integer normals are used as
+    they are and other entries are cleared of denominators first.  The
+    minimizer set of <., normal> must be (n-1)-dimensional, which one
+    integer rank decides, else ZeroNormal or NotAFacet is raised.  By
+    reflexivity the primitive normal of a facet then attains exactly -1
+    on it and > -1 elsewhere; any other minimum raises
+    InternalInconsistency.
     """
     coeffs = _as_integer_coeffs(normal)
     if len(coeffs) != cfg.dim:
@@ -133,9 +139,8 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence) -> Fac
         raise ZeroNormal("inner normal must be nonzero")
     coeffs = linalg.primitive(coeffs)
 
-    values = [
-        sum(c * x for c, x in zip(coeffs, point) if x) for point in cfg.points
-    ]
+    pot = (0, 0) + coeffs
+    values = [pot[t] - pot[h] for t, h in cfg.directed_edges]
     minimum = min(values)
     if minimum >= 0:
         # cannot happen for nonzero normals on a full-dimensional symmetric
@@ -150,56 +155,31 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence) -> Fac
         raise InternalInconsistency(
             f"facet normal {coeffs} attains minimum {minimum}, not -1"
         )
-    return _assemble_facet(cfg, coeffs, min_indices)
+    return _assemble_facet(cfg, pot, min_indices)
 
 
 def _assemble_facet(
     cfg: PointConfiguration,
-    primitive_coeffs: tuple[int, ...],
+    pot: tuple[int, ...],
     min_indices: tuple[int, ...],
 ) -> Facet:
-    directed = tuple(cfg.directed_edges[i] for i in min_indices)
-    undirected = set()
-    for i, j in directed:
-        e = (i, j) if i < j else (j, i)
-        if e in undirected:
-            raise InternalInconsistency(f"facet contains both orientations of {e}")
-        undirected.add(e)
-    subgraph_edges = tuple(sorted(undirected))
-    bipartition = _two_color(subgraph_edges, cfg.graph.vertex_count)
+    # The tight edges have rank n, so they form a connected spanning
+    # subgraph, and each changes the potential by exactly 1, so no edge is
+    # tight in both orientations and the parity of the potential 2-colors
+    # them, with vertex 1 (potential 0) on the plus side.
+    plus = frozenset(v for v in cfg.graph.vertices() if pot[v] % 2 == 0)
     dim = cfg.dim - 1
     return Facet(
-        normal=InnerNormal(coeffs=primitive_coeffs),
+        normal=InnerNormal(coeffs=pot[2:]),
         point_indices=min_indices,
-        subgraph_edges=subgraph_edges,
-        directed_edges=directed,
+        # point 2k+s lies on edge k, and graph edges are sorted
+        subgraph_edges=tuple(cfg.graph.edges[i >> 1] for i in min_indices),
+        directed_edges=tuple(cfg.directed_edges[i] for i in min_indices),
         dim=dim,
         corank=len(min_indices) - dim - 1,
-        bipartition=bipartition,
-    )
-
-
-def _two_color(edges: tuple[Edge, ...], vertex_count: int) -> Bipartition:
-    """2-color a facet subgraph from vertex 1; it must be connected spanning."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    color = {1: 1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w in adj.get(v, ()):
-            if w not in color:
-                color[w] = -color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
-                raise InternalInconsistency("facet subgraph is not bipartite")
-    if len(color) != vertex_count:
-        raise InternalInconsistency("facet subgraph is not spanning and connected")
-    return Bipartition(
-        plus=frozenset(v for v, c in color.items() if c == 1),
-        minus=frozenset(v for v, c in color.items() if c == -1),
+        bipartition=Bipartition(
+            plus=plus, minus=frozenset(cfg.graph.vertices()) - plus
+        ),
     )
 
 
@@ -225,12 +205,14 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
     contain a +- pair are skipped: their affine span passes through 0.
     """
     n = cfg.dim
+    m = cfg.graph.m
     if n > BRUTE_FORCE_MAX_DIM or len(cfg.points) > BRUTE_FORCE_MAX_POINTS:
         raise TooLarge(
-            f"oracle guard: dim {n} > {BRUTE_FORCE_MAX_DIM} or "
-            f"{len(cfg.points)} points > {BRUTE_FORCE_MAX_POINTS}"
+            f"oracle guard: dim {n} (bound {BRUTE_FORCE_MAX_DIM}), "
+            f"{len(cfg.points)} points (bound {BRUTE_FORCE_MAX_POINTS}); "
+            f"the search would need C({m}, {n}) * 2^{n} = "
+            f"{math.comb(m, n) << n} solves"
         )
-    m = cfg.graph.m
     sparse = [
         [(idx, value) for idx, value in enumerate(point) if value]
         for point in cfg.points

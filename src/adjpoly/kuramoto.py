@@ -84,13 +84,14 @@ def homogenization_data(g: Graph) -> HomogenizationData:
     rows = tuple(f.normal.coeffs for f in enumerate_all_facets(g))
     data = HomogenizationData(rows=rows, offsets=(-1,) * len(rows))
 
-    origin = (0,) * cfg.dim
-    for point in cfg.points:
-        lifted = data.lifted_exponent(point)
-        if min(lifted) != 0:
+    # row r takes r[t] - r[h] at the point of (t, h): vertex 1 has potential 0
+    padded = [(0, 0) + row for row in rows]
+    for point, (t, h) in zip(cfg.points, cfg.directed_edges):
+        if min(p[t] - p[h] for p in padded) != -1:
             raise InternalInconsistency(
                 f"support point {point} does not sit on any facet"
             )
+    origin = (0,) * cfg.dim
     if data.rows and min(data.lifted_exponent(origin)) <= 0:
         raise InternalInconsistency("origin must be interior to every facet")
     return data

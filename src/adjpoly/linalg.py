@@ -1,13 +1,12 @@
 """Exact integer linear algebra for small dense systems.
 
-Everything in the geometric verification path runs over arbitrary-precision
-integers (fraction-free Bareiss elimination) or exact Fractions; floating
-point is never used, so facet identities are decided exactly.
+Everything here runs over arbitrary-precision integers with fraction-free
+elimination; neither Fractions nor floating point are used, so facet
+identities are decided exactly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -29,6 +28,9 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
             continue
         matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
         pivot = matrix[rank][col]
+        # a unit pivot does not scale the rows it clears, so they skip the
+        # gcd pass; that pass only curbs growth and never changes the rank
+        unit = pivot in (1, -1)
         for r in range(rank + 1, len(matrix)):
             factor = matrix[r][col]
             if factor:
@@ -36,6 +38,8 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
                 top = matrix[rank]
                 for c in range(col, cols):
                     row[c] = row[c] * pivot - factor * top[c]
+                if unit:
+                    continue
                 g = 0
                 for c in range(col, cols):
                     g = gcd(g, row[c])
@@ -55,15 +59,12 @@ def solve_neg_ones(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]
     """
     n = len(rows)
     matrix = [list(row) + [-1] for row in rows]
-    sign = 1
     prev = 1
     for k in range(n):
         pivot_row = next((r for r in range(k, n) if matrix[r][k]), None)
         if pivot_row is None:
             return None
-        if pivot_row != k:
-            matrix[k], matrix[pivot_row] = matrix[pivot_row], matrix[k]
-            sign = -sign
+        matrix[k], matrix[pivot_row] = matrix[pivot_row], matrix[k]
         pivot = matrix[k][k]
         for i in range(k + 1, n):
             row = matrix[i]
@@ -74,17 +75,20 @@ def solve_neg_ones(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]
                 row[j] = (row[j] * pivot - head * top[j]) // prev
             row[k] = 0
         prev = pivot
-    solution = [Fraction(0)] * n
+    # Cramer's rule: the last pivot det is the determinant up to sign, and
+    # y = det * a is integral, so each division below is exact
+    det = prev
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(matrix[i][n])
+        row = matrix[i]
+        acc = det * row[n]
         for j in range(i + 1, n):
-            acc -= matrix[i][j] * solution[j]
-        solution[i] = acc / matrix[i][i]
-    den = 1
-    for value in solution:
-        den = den * value.denominator // gcd(den, value.denominator)
-    nums = tuple(int(value * den) for value in solution)
-    return nums, den
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    g = gcd(det, *y)
+    if det < 0:
+        g = -g
+    return tuple(v // g for v in y), det // g
 
 
 def primitive(vector: Sequence[int]) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,77 @@ def balanced_on_all_cycles(cycles, directed_edges) -> bool:
         if forward != backward:
             return False
     return True
+
+
+def two_color(edges, vertex_count: int) -> Bipartition:
+    """Oracle: 2-color a connected spanning edge set by BFS from vertex 1,
+    which goes on the plus side."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    color = {1: 1}
+    queue = deque([1])
+    while queue:
+        v = queue.popleft()
+        for w in adj.get(v, ()):
+            if w not in color:
+                color[w] = -color[v]
+                queue.append(w)
+            elif color[w] == color[v]:
+                raise ValueError("edge set is not bipartite")
+    if len(color) != vertex_count:
+        raise ValueError("edge set is not spanning and connected")
+    return Bipartition(
+        plus=frozenset(v for v, c in color.items() if c == 1),
+        minus=frozenset(v for v, c in color.items() if c == -1),
+    )
+
+
+def _row_reduce(matrix: list[list[Fraction]], cols: int) -> int:
+    """Gauss-Jordan elimination in place over the first cols columns;
+    returns the rank.  Pivot rows end up first, each with a 1 in its pivot
+    column and 0 elsewhere in that column."""
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        top[:] = [x / top[col] for x in top]
+        for r, row in enumerate(matrix):
+            if r != rank and row[col]:
+                factor = row[col]
+                row[:] = [x - factor * t for x, t in zip(row, top)]
+        rank += 1
+    return rank
+
+
+def fraction_rank(rows) -> int:
+    """Oracle: rank over the rationals by Fraction Gauss-Jordan elimination."""
+    matrix = [[Fraction(x) for x in row] for row in rows]
+    return _row_reduce(matrix, len(matrix[0])) if matrix else 0
+
+
+def fraction_solve_neg_ones(rows) -> tuple[Fraction, ...] | None:
+    """Oracle: the solution a of X a = (-1, ..., -1) for square X, by Fraction
+    Gauss-Jordan elimination, or None when X is singular."""
+    n = len(rows)
+    matrix = [[Fraction(x) for x in row] + [Fraction(-1)] for row in rows]
+    if _row_reduce(matrix, n) < n:
+        return None
+    return tuple(row[n] for row in matrix)
+
+
+def random_integer_matrix(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
+    """Entries in -3..3, with a zero row or a repeated row now and then."""
+    matrix = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.2:
+        matrix[rng.randrange(rows)] = [0] * cols
+    if rows > 1 and rng.random() < 0.2:
+        matrix[rng.randrange(rows)] = list(matrix[rng.randrange(rows)])
+    return matrix
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,7 @@ from adjpoly import (
     verify_facet,
 )
 from adjpoly.counting import cycle_graph
+from adjpoly.geometry import edge_point
 from adjpoly.linalg import integer_rank
 
 from conftest import (
@@ -320,6 +321,47 @@ class TestFaceProperties:
         cfg = configuration_from_graph(g)
         with pytest.raises(ValidationError, match=r"edge \(1, 2\)"):
             face_properties(g, [cfg.points[0], cfg.points[1]])
+
+    def test_repeated_point_rejected(self):
+        g = cycle_graph(4)
+        cfg = configuration_from_graph(g)
+        with pytest.raises(ValidationError, match="repeated"):
+            face_properties(g, [cfg.points[0], cfg.points[0]])
+
+    def test_directed_triangle_rejected(self):
+        # the three points sum to the origin, so no supporting hyperplane
+        # holds them all
+        g = cycle_graph(3)
+        triangle = [edge_point(2, 1, 2), edge_point(2, 2, 3), edge_point(2, 3, 1)]
+        with pytest.raises(ValidationError, match="no common face"):
+            face_properties(g, triangle)
+
+    def test_on_face_iff_inside_a_facet(self):
+        # every proper face lies in a facet, so a point set is on a common
+        # face iff some facet holds all of it
+        rng = random.Random(63)
+        verdicts = {True: 0, False: 0}
+        for g in exhaustive_corpus(5):
+            cfg = configuration_from_graph(g)
+            facet_sets = [set(f.point_indices) for f in enumerate_all_facets(g)]
+            for _ in range(8):
+                if rng.random() < 0.5:
+                    pool = sorted(rng.choice(facet_sets))
+                    indices = rng.sample(pool, rng.randint(1, len(pool)))
+                    indices.append(rng.randrange(len(cfg.points)))
+                    indices = list(dict.fromkeys(indices))
+                else:
+                    size = rng.randint(1, min(5, len(cfg.points)))
+                    indices = rng.sample(range(len(cfg.points)), size)
+                on_face = any(set(indices) <= points for points in facet_sets)
+                verdicts[on_face] += 1
+                subset = [cfg.points[i] for i in indices]
+                if on_face:
+                    face_properties(g, subset)
+                else:
+                    with pytest.raises(ValidationError):
+                        face_properties(g, subset)
+        assert min(verdicts.values()) > 1000
 
     def test_dim_is_rank_minus_one_on_facet_subsets(self, joined45):
         # facet points span an affine hull that misses the origin, so their

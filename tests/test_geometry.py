@@ -1,5 +1,7 @@
 """Point configurations, facet verification, and the brute-force oracle."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,15 +15,22 @@ from adjpoly import (
     affine_dimension,
     brute_force_facets,
     configuration_from_graph,
+    enumerate_all_facets,
     parse_edge_list,
     verify_facet,
 )
-from adjpoly import geometry
-from adjpoly.counting import cycle_graph
+from adjpoly import geometry, linalg
+from adjpoly.counting import cycle_graph, joined_cycles_count, joined_cycles_graph
 from adjpoly.geometry import decode_point, edge_point
-from adjpoly.linalg import integer_rank
+from adjpoly.linalg import integer_rank, solve_neg_ones
 
-from conftest import exhaustive_corpus
+from conftest import (
+    exhaustive_corpus,
+    fraction_rank,
+    fraction_solve_neg_ones,
+    random_integer_matrix,
+    two_color,
+)
 
 
 class TestConfiguration:
@@ -76,6 +85,55 @@ class TestIntegerRank:
         assert integer_rank([edge_point(5, i, i + 1) for i in range(1, 6)]) == 5
         cycle = [edge_point(5, i, i % 6 + 1) for i in range(1, 7)]
         assert integer_rank(cycle) == 5
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(61)
+        deficient = 0
+        for _ in range(1500):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            matrix = random_integer_matrix(rng, rows, cols)
+            rank = fraction_rank(matrix)
+            assert integer_rank(matrix) == rank, matrix
+            deficient += rank < min(rows, cols)
+        assert deficient > 100
+
+
+class TestSolveNegOnes:
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[2]], ((-1,), 2)),  # non-unit pivot
+            ([[0, 1], [1, 0]], ((-1, -1), 1)),  # row swap, determinant -1
+            ([[2, 1], [1, -1]], ((-2, 1), 3)),  # determinant -3
+            ([[-3, 0], [0, 2]], ((2, -3), 6)),
+            ([[1, 2], [0, 0]], None),  # zero row
+            ([[1, 2], [2, 4]], None),
+            ([], ((), 1)),
+        ],
+    )
+    def test_examples(self, rows, expected):
+        assert solve_neg_ones(rows) == expected
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(62)
+        verdicts = {True: 0, False: 0}
+        for _ in range(1500):
+            n = rng.randint(1, 8)
+            matrix = random_integer_matrix(rng, n, n)
+            expected = fraction_solve_neg_ones(matrix)
+            solved = solve_neg_ones(matrix)
+            verdicts[expected is None] += 1
+            if expected is None:
+                assert solved is None, matrix
+                continue
+            nums, den = solved
+            assert den > 0
+            assert math.gcd(den, *nums) == 1
+            assert tuple(Fraction(x, den) for x in nums) == expected, matrix
+        assert min(verdicts.values()) > 100
+
+    def test_no_fraction_arithmetic(self):
+        assert not hasattr(linalg, "Fraction")
 
 
 class TestVerifyFacet:
@@ -141,6 +199,25 @@ class TestVerifyFacet:
         monkeypatch.setattr(geometry, "affine_dimension", lambda points: cfg.dim - 1)
         with pytest.raises(InternalInconsistency, match="minimum -2"):
             verify_facet(cfg, (2, 1, 0))
+
+    def test_parity_bipartition_matches_two_coloring(self, joined45):
+        for g in list(exhaustive_corpus(5)) + [joined45]:
+            for facet in enumerate_all_facets(g):
+                assert facet.bipartition == two_color(
+                    facet.subgraph_edges, g.vertex_count
+                )
+
+    def test_integer_normals_skip_fractions(self, monkeypatch):
+        def no_fractions(*args):
+            raise AssertionError("Fraction used for an integer normal")
+
+        g = joined_cycles_graph(4, 4)
+        cfg = configuration_from_graph(g)
+        monkeypatch.setattr(geometry, "Fraction", no_fractions)
+        facets = enumerate_all_facets(g)
+        assert len(facets) == joined_cycles_count(4, 4).total
+        for facet in facets:
+            assert verify_facet(cfg, facet.normal.coeffs) == facet
 
 
 class TestAffineDimension:

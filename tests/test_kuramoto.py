@@ -1,10 +1,13 @@
 """Solver support exports: unmixed support, lifts, subsystems, homogenization."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from adjpoly import (
+    InnerNormal,
+    InternalInconsistency,
     enumerate_all_facets,
     configuration_from_graph,
     facet_subsystem_support,
@@ -13,6 +16,7 @@ from adjpoly import (
     parse_edge_list,
     unmixed_support,
 )
+from adjpoly import kuramoto
 from adjpoly.counting import cycle_graph
 from adjpoly.kuramoto import (
     homogenization_file_text,
@@ -109,6 +113,18 @@ class TestHomogenization:
                 assert 0 in lifted
             else:
                 assert min(lifted) > 0
+
+    @pytest.mark.parametrize("index", [0, 5, 107])
+    def test_non_facet_row_rejected(self, monkeypatch, joined45, index):
+        # twice a facet normal attains -2 on that facet's points
+        facets = enumerate_all_facets(joined45)
+        doubled = tuple(2 * c for c in facets[index].normal.coeffs)
+        facets[index] = dataclasses.replace(
+            facets[index], normal=InnerNormal(coeffs=doubled)
+        )
+        monkeypatch.setattr(kuramoto, "enumerate_all_facets", lambda g: facets)
+        with pytest.raises(InternalInconsistency, match="does not sit on any facet"):
+            homogenization_data(joined45)
 
     def test_joined_4_5_shape(self, joined45):
         data = homogenization_data(joined45)
