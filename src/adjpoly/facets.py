@@ -94,7 +94,7 @@ def enumerate_sign_vectors(sys: CycleConstraintSystem) -> list[SignVector]:
     if n > SIGN_SEARCH_MAX_DIM:
         raise TooLarge(
             f"sign search guard: n = {n} > {SIGN_SEARCH_MAX_DIM} tree edges; "
-            f"the search would try up to 2^{n} = {1 << n} sign vectors"
+            f"the search would try up to 2^{n} sign vectors"
         )
     rows = [(row.coeffs, False) for row in sys.rows_zero] + [
         (row.coeffs, True) for row in sys.rows_pm
@@ -248,7 +248,9 @@ def face_properties(
                 raise ValidationError(f"repeated point of edge {(i, j)}")
             raise ValidationError(f"points of both orientations of edge {e}")
         edges[e] = (i, j)
-    if not _on_common_face(g, directed):
+    if not isinstance(facet_or_point_subset, Facet) and not _on_common_face(
+        g, directed
+    ):
         raise ValidationError("the points lie on no common face")
     adj: dict[int, list[int]] = {}
     for u, v in edges:

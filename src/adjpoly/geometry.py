@@ -210,8 +210,7 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
         raise TooLarge(
             f"oracle guard: dim {n} (bound {BRUTE_FORCE_MAX_DIM}), "
             f"{len(cfg.points)} points (bound {BRUTE_FORCE_MAX_POINTS}); "
-            f"the search would need C({m}, {n}) * 2^{n} = "
-            f"{math.comb(m, n) << n} solves"
+            f"the search would need C({m}, {n}) * 2^{n} solves"
         )
     sparse = [
         [(idx, value) for idx, value in enumerate(point) if value]

@@ -126,7 +126,7 @@ class TestLongPath:
         result = self._adjpoly("count", path40_file)
         assert result.returncode == 2
         assert "sign search guard: n = 39 > 30" in result.stderr
-        assert "up to 2^39 = 549755813888 sign vectors" in result.stderr
+        assert "up to 2^39 sign vectors" in result.stderr
 
 
 class TestOracleCheck:
@@ -140,7 +140,7 @@ class TestOracleCheck:
         assert result.exit_code == 2
         assert "guard" in result.stderr
         assert "dim 9 (bound 8)" in result.stderr
-        assert "C(10, 9) * 2^9 = 5120 solves" in result.stderr
+        assert "C(10, 9) * 2^9 solves" in result.stderr
 
 
 class TestJoinedCycles:

@@ -12,6 +12,7 @@ from adjpoly import (
     EmptySubset,
     Facet,
     InnerNormal,
+    TooLarge,
     ValidationError,
     balancing_check,
     brute_force_facets,
@@ -195,6 +196,17 @@ class TestEnumerateSignVectors:
             solutions = enumerate_sign_vectors(sys)
             assert solutions == _scan_sign_vectors(sys)
             assert (solutions == []) == (even_pm in rows_pm or empty_pm in rows_pm)
+
+    def test_guard_on_huge_tree(self):
+        # 20,000 tree edges: 2^n has more decimal digits than int -> str
+        # allows, so the guard must refuse without printing it
+        tree = spanning_tree(enumerate_maximal_bipartite_subgraphs(path_graph(3))[0])
+        huge = dataclasses.replace(
+            tree, edges=tuple((i, i + 1) for i in range(1, 20001))
+        )
+        sys = CycleConstraintSystem(tree=huge, rows_pm=(), rows_zero=())
+        with pytest.raises(TooLarge, match=r"n = 20000 > 30 .* up to 2\^20000 sign"):
+            enumerate_sign_vectors(sys)
 
     def test_binary_order(self):
         g = cycle_graph(4)

@@ -20,7 +20,7 @@ from adjpoly import (
     verify_facet,
 )
 from adjpoly import geometry, linalg
-from adjpoly.counting import cycle_graph, joined_cycles_count, joined_cycles_graph
+from adjpoly.counting import cycle_graph
 from adjpoly.geometry import decode_point, edge_point
 from adjpoly.linalg import integer_rank, solve_neg_ones
 
@@ -207,17 +207,17 @@ class TestVerifyFacet:
                     facet.subgraph_edges, g.vertex_count
                 )
 
-    def test_integer_normals_skip_fractions(self, monkeypatch):
+    def test_integer_normals_skip_fractions(self, monkeypatch, joined45):
         def no_fractions(*args):
             raise AssertionError("Fraction used for an integer normal")
 
-        g = joined_cycles_graph(4, 4)
-        cfg = configuration_from_graph(g)
         monkeypatch.setattr(geometry, "Fraction", no_fractions)
-        facets = enumerate_all_facets(g)
-        assert len(facets) == joined_cycles_count(4, 4).total
-        for facet in facets:
-            assert verify_facet(cfg, facet.normal.coeffs) == facet
+        for g in [cycle_graph(4), joined45]:
+            cfg = configuration_from_graph(g)
+            facets = enumerate_all_facets(g)
+            assert len(facets) == len(brute_force_facets(cfg))
+            for facet in facets:
+                assert verify_facet(cfg, facet.normal.coeffs) == facet
 
 
 class TestAffineDimension:
