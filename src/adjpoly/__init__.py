@@ -21,7 +21,6 @@ from .counting import (
 from .errors import (
     AdjPolyError,
     DomainError,
-    EdgeInTree,
     EmptySubset,
     InternalInconsistency,
     NotAFacet,
@@ -31,9 +30,9 @@ from .errors import (
     ZeroNormal,
 )
 from .facets import (
-    CycleConstraintSystem,
     FaceProperties,
     FacetClass,
+    PotentialStep,
     balancing_check,
     build_cycle_system,
     enumerate_all_facets,
@@ -53,16 +52,11 @@ from .geometry import (
 )
 from .graphs import (
     Bipartition,
-    CycleVector,
     Graph,
     MaxBipartiteSubgraph,
-    SpanningTree,
-    cyclomatic_number,
     enumerate_maximal_bipartite_subgraphs,
-    fundamental_cycle,
     has_even_cycle,
     parse_edge_list,
-    spanning_tree,
 )
 from .kuramoto import (
     HomogenizationData,

@@ -13,10 +13,6 @@ class ValidationError(AdjPolyError):
     """Structurally invalid graph (self-loop, duplicate edge, disconnected, ...)."""
 
 
-class EdgeInTree(AdjPolyError):
-    """A fundamental cycle was requested for an edge that belongs to the tree."""
-
-
 class ZeroNormal(AdjPolyError):
     """The zero vector is not a valid inner normal."""
 

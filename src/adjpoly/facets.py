@@ -2,9 +2,14 @@
 
 Every facet subgraph of the configuration is a maximal bipartite subgraph
 B of G, and the facets sharing B biject with the sign vectors
-d in {-1,+1}^n that satisfy the fundamental-cycle constraints of a
-spanning tree of B: value in {-1,+1} on cycles closed by edges of B,
-value 0 on cycles closed by the remaining edges of G.
+d in {-1,+1}^n on the edges of a spanning tree of B that satisfy its
+fundamental-cycle constraints: value in {-1,+1} on cycles closed by edges
+of B, value 0 on cycles closed by the remaining edges of G.  The search
+works in vertex potentials instead.  Vertex 1 sits at 0 and tree edge k
+sets its newer end's potential from the older end's by +-d_k.  A cycle's
+value is then, up to sign, the potential difference across the edge that
+closes it, so the constraints ask for a difference of exactly 1 across
+every other edge of B and of 0 across every edge of G outside B.
 """
 
 from __future__ import annotations
@@ -23,16 +28,12 @@ from .geometry import (
     verify_facet,
 )
 from .graphs import (
-    CycleVector,
     DirectedEdge,
     Edge,
     Graph,
     MaxBipartiteSubgraph,
-    SpanningTree,
     enumerate_maximal_bipartite_subgraphs,
-    fundamental_cycle,
     has_even_cycle,
-    spanning_tree,
 )
 
 SignVector = tuple[int, ...]
@@ -41,12 +42,21 @@ SIGN_SEARCH_MAX_DIM = 30
 
 
 @dataclasses.dataclass(frozen=True)
-class CycleConstraintSystem:
-    """Fundamental-cycle constraints for one maximal bipartite subgraph."""
+class PotentialStep:
+    """One vertex of b's BFS tree: f(vertex) = f(parent) + sign * d_k.
 
-    tree: SpanningTree
-    rows_pm: tuple[CycleVector, ...]
-    rows_zero: tuple[CycleVector, ...]
+    tree_edge is the tree edge oriented from b's minus side to its plus
+    side; d_k = +1 puts it among the facet's directed edges and d_k = -1
+    puts its reverse there.  checks holds (u, gap) for every other edge of
+    g from vertex to an earlier vertex u: |f(vertex) - f(u)| must be gap,
+    1 on edges of b and 0 on the other edges of g.
+    """
+
+    vertex: int
+    parent: int
+    tree_edge: DirectedEdge
+    sign: int
+    checks: tuple[tuple[int, int], ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,110 +78,87 @@ class FacetClass:
     facets: tuple[Facet, ...]
 
 
-def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> CycleConstraintSystem:
-    """One +-1 row per non-tree edge of b, one zero row per edge outside b."""
-    tree = spanning_tree(b)
-    tree_edges = set(tree.edges)
-    b_edges = set(b.edges)
-    rows_pm = tuple(
-        fundamental_cycle(tree, e) for e in b.edges if e not in tree_edges
-    )
-    rows_zero = tuple(
-        fundamental_cycle(tree, e) for e in g.edges if e not in b_edges
-    )
-    return CycleConstraintSystem(tree=tree, rows_pm=rows_pm, rows_zero=rows_zero)
+def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> tuple[PotentialStep, ...]:
+    """The steps of b's BFS tree from vertex 1, ascending neighbours first.
 
-
-def enumerate_sign_vectors(sys: CycleConstraintSystem) -> list[SignVector]:
-    """All d in {-1,+1}^n solving the system, in binary order (-1 before +1).
-
-    Depth-first assignment over tree-edge positions with interval pruning:
-    a partial row sum further from its target set than the remaining
-    unassigned mass of that row can never recover, and a +-1 row that
-    closes at 0 is cut.  So every leaf solves every row exactly.
+    The edges of b are the edges of g that cross its bipartition, so the
+    BFS follows crossing edges, and an edge to an earlier vertex needs a
+    potential gap of 1 exactly when it crosses.
     """
-    n = len(sys.tree.edges)
+    plus = b.bipartition.plus
+    parent = {1: 0}
+    order = [1]
+    for v in order:
+        for w in g.adjacency[v]:
+            if w not in parent and (v in plus) != (w in plus):
+                parent[w] = v
+                order.append(w)
+    position = {v: k for k, v in enumerate(order)}
+    steps = []
+    for w in order[1:]:
+        p = parent[w]
+        on_plus = w in plus
+        checks = tuple(
+            (u, int((u in plus) != on_plus))
+            for u in g.adjacency[w]
+            if u != p and position[u] < position[w]
+        )
+        steps.append(
+            PotentialStep(
+                vertex=w,
+                parent=p,
+                tree_edge=(p, w) if on_plus else (w, p),
+                sign=1 if on_plus else -1,
+                checks=checks,
+            )
+        )
+    return tuple(steps)
+
+
+def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]:
+    """All d in {-1,+1}^n meeting every check, in binary order (-1 before +1).
+
+    Depth-first over the steps: d_k fixes the potential of step k's
+    vertex, and its checks against earlier vertices are tested at once.
+    So a branch is cut at the first edge it violates, and every leaf is a
+    solution.
+    """
+    n = len(steps)
     if n > SIGN_SEARCH_MAX_DIM:
         raise TooLarge(
             f"sign search guard: n = {n} > {SIGN_SEARCH_MAX_DIM} tree edges; "
             f"the search would try up to 2^{n} sign vectors"
         )
-    rows = [(row.coeffs, False) for row in sys.rows_zero] + [
-        (row.coeffs, True) for row in sys.rows_pm
-    ]
-    by_position: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    remaining = [0] * len(rows)
-    for r, (coeffs, _) in enumerate(rows):
-        for k, c in enumerate(coeffs):
-            if c:
-                by_position[k].append((r, c))
-                remaining[r] += 1
-    partial = [0] * len(rows)
-    targets_pm = [is_pm for _, is_pm in rows]
-    solutions: list[SignVector] = []
+    pot = [0] * (n + 2)  # vertices 1..n+1, vertex 1 at 0
     d = [0] * n
-
-    def feasible(r: int) -> bool:
-        s, left = partial[r], remaining[r]
-        if targets_pm[r]:
-            return s - left <= 1 and s + left >= -1 and (left > 0 or s != 0)
-        return abs(s) <= left
-
-    if not all(map(feasible, range(len(rows)))):
-        return []  # a +-1 row with empty support, which no position checks
+    solutions: list[SignVector] = []
 
     def extend(k: int) -> None:
         if k == n:
             solutions.append(tuple(d))
             return
+        step = steps[k]
         for value in (-1, 1):
-            d[k] = value
-            ok = True
-            for r, c in by_position[k]:
-                partial[r] += c * value
-                remaining[r] -= 1
-            for r, _ in by_position[k]:
-                if not feasible(r):
-                    ok = False
-                    break
-            if ok:
+            f = pot[step.parent] + step.sign * value
+            if all(abs(f - pot[u]) == gap for u, gap in step.checks):
+                pot[step.vertex] = f
+                d[k] = value
                 extend(k + 1)
-            for r, c in by_position[k]:
-                partial[r] -= c * value
-                remaining[r] += 1
-        d[k] = 0
 
     extend(0)
     return solutions
 
 
-def _potentials(tree: SpanningTree, d: SignVector) -> list[int]:
-    """Vertex potentials with vertex 1 anchored at 0.
-
-    Each signed tree point d_k x_k must take value -1, i.e.
-    a_tail - a_head = -d_k along the oriented tree edge k; BFS discovery
-    order guarantees one endpoint is already assigned.
-    """
-    count = tree.subgraph.vertex_count
-    pot = [None] * (count + 1)
-    pot[1] = 0
-    for k, (tail, head) in enumerate(tree.oriented):
-        if pot[tail] is not None:
-            pot[head] = pot[tail] + d[k]
-        else:
-            pot[tail] = pot[head] - d[k]
-    return pot  # type: ignore[return-value]
-
-
 def _facet_from_sign_vector(
     cfg: PointConfiguration,
     b: MaxBipartiteSubgraph,
-    tree: SpanningTree,
+    steps: tuple[PotentialStep, ...],
     d: SignVector,
 ) -> Facet:
-    pot = _potentials(tree, d)
-    coeffs = tuple(pot[v] for v in range(2, cfg.graph.vertex_count + 1))
-    facet = verify_facet(cfg, coeffs)
+    pot = [0] * (cfg.graph.vertex_count + 1)
+    for step, dk in zip(steps, d):
+        pot[step.vertex] = pot[step.parent] + step.sign * dk
+    facet = verify_facet(cfg, tuple(pot[2:]))
     if facet.subgraph_edges != b.edges:
         raise InternalInconsistency(
             "facet subgraph does not match the generating bipartite subgraph"
@@ -190,10 +177,10 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
     seen_normals: dict[tuple[int, ...], int] = {}
     classes = []
     for index, b in enumerate(enumerate_maximal_bipartite_subgraphs(g)):
-        system = build_cycle_system(g, b)
+        steps = build_cycle_system(g, b)
         facets = []
-        for d in enumerate_sign_vectors(system):
-            facet = _facet_from_sign_vector(cfg, b, system.tree, d)
+        for d in enumerate_sign_vectors(steps):
+            facet = _facet_from_sign_vector(cfg, b, steps, d)
             key = facet.normal.coeffs
             if key in seen_normals:
                 raise InternalInconsistency(

@@ -9,12 +9,11 @@ shared freely across threads.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from collections import deque
 from itertools import compress
 from typing import Iterable
 
-from .errors import EdgeInTree, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 Edge = tuple[int, int]
 DirectedEdge = tuple[int, int]
@@ -129,14 +128,6 @@ class Bipartition:
 
     plus: frozenset[int]
     minus: frozenset[int]
-
-    def side(self, v: int) -> int:
-        """+1 if v is in plus, -1 if in minus."""
-        if v in self.plus:
-            return 1
-        if v in self.minus:
-            return -1
-        raise KeyError(v)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -340,135 +331,6 @@ def _members(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class SpanningTree:
-    """BFS spanning tree of a maximal bipartite subgraph, rooted at vertex 1.
-
-    Edges are listed in BFS discovery order and each is oriented from the
-    minus side to the plus side of the owning bipartition.
-    """
-
-    subgraph: MaxBipartiteSubgraph
-    edges: tuple[Edge, ...]
-    oriented: tuple[DirectedEdge, ...]
-    parent: dict[int, int]
-    depth: dict[int, int]
-
-    @functools.cached_property
-    def edge_position(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-
-def spanning_tree(b: MaxBipartiteSubgraph) -> SpanningTree:
-    """Deterministic BFS tree of b from vertex 1, ascending neighbor order."""
-    adj: dict[int, list[int]] = {}
-    for u, v in b.edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v in adj:
-        adj[v].sort()
-
-    parent = {1: 0}
-    depth = {1: 0}
-    tree_edges: list[Edge] = []
-    oriented: list[DirectedEdge] = []
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w in parent:
-                continue
-            parent[w] = v
-            depth[w] = depth[v] + 1
-            tree_edges.append((v, w) if v < w else (w, v))
-            if b.bipartition.side(v) < 0:
-                oriented.append((v, w))
-            else:
-                oriented.append((w, v))
-            queue.append(w)
-    return SpanningTree(
-        subgraph=b,
-        edges=tuple(tree_edges),
-        oriented=tuple(oriented),
-        parent=parent,
-        depth=depth,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class CycleVector:
-    """Signed incidence of the fundamental cycle closed by a non-tree edge.
-
-    coeffs is indexed by tree-edge order; entry +1 means the tree edge is
-    traversed along its canonical orientation when walking the tree path
-    from the larger endpoint of the non-tree edge back to the smaller one.
-    """
-
-    non_tree_edge: DirectedEdge
-    coeffs: tuple[int, ...]
-
-
-def fundamental_cycle(t: SpanningTree, e: Edge) -> CycleVector:
-    """Cycle vector of non-tree edge e, traversed small -> large endpoint."""
-    a, b = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-    if (a, b) in t.edge_position:
-        raise EdgeInTree(f"edge {(a, b)} belongs to the tree")
-    coeffs = [0] * len(t.edges)
-    pos = t.edge_position
-    # walk from b up and from a up to the LCA, recording traversal direction
-    x, y = b, a
-    steps_from_b: list[tuple[int, int]] = []  # (child, parent): walked child -> parent
-    steps_to_a: list[tuple[int, int]] = []  # (parent, child): walked parent -> child
-    while t.depth[x] > t.depth[y]:
-        steps_from_b.append((x, t.parent[x]))
-        x = t.parent[x]
-    while t.depth[y] > t.depth[x]:
-        steps_to_a.append((t.parent[y], y))
-        y = t.parent[y]
-    while x != y:
-        steps_from_b.append((x, t.parent[x]))
-        steps_to_a.append((t.parent[y], y))
-        x = t.parent[x]
-        y = t.parent[y]
-    steps_to_a.reverse()
-    for u, v in steps_from_b + steps_to_a:
-        edge = (u, v) if u < v else (v, u)
-        k = pos[edge]
-        coeffs[k] = 1 if t.oriented[k] == (u, v) else -1
-    return CycleVector(non_tree_edge=(a, b), coeffs=tuple(coeffs))
-
-
-def cyclomatic_number(edge_subset: Iterable[Edge], g: Graph) -> int:
-    """|E| - |V touched| + (components of the touched subgraph)."""
-    edges = set()
-    for u, v in edge_subset:
-        e = (u, v) if u < v else (v, u)
-        if e not in g.edge_index:
-            raise ValidationError(f"edge {e} is not in the graph")
-        edges.add(e)
-    if not edges:
-        return 0
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    components = 0
-    seen: set[int] = set()
-    for start in adj:
-        if start in seen:
-            continue
-        components += 1
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return len(edges) - len(adj) + components
 
 
 def has_even_cycle(g: Graph) -> bool:

@@ -205,6 +205,85 @@ def balanced_on_all_cycles(cycles, directed_edges) -> bool:
     return True
 
 
+def cyclomatic_number(edge_subset, g: Graph) -> int:
+    """|E| - |V touched| + (components of the touched subgraph)."""
+    edges = set()
+    for u, v in edge_subset:
+        e = (u, v) if u < v else (v, u)
+        if e not in g.edge_index:
+            raise ValidationError(f"edge {e} is not in the graph")
+        edges.add(e)
+    if not edges:
+        return 0
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    components = 0
+    seen: set[int] = set()
+    for start in adj:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for w in adj[x]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return len(edges) - len(adj) + components
+
+
+def fundamental_cycle_rows(g: Graph, b: MaxBipartiteSubgraph):
+    """Oracle: the BFS tree of b from vertex 1 (ascending neighbours) and
+    the fundamental cycle of every other edge of g.
+
+    Returns the tree edges in discovery order, each oriented from b's
+    minus side to its plus side, and a dict from each non-tree edge (a, c),
+    a < c, to its row: entry k is +1 or -1 as the tree path from c back to
+    a walks tree edge k along or against its orientation.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in b.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    oriented: list[tuple[int, int]] = []
+    down = {1: [0] * g.n}  # signed tree path from vertex 1 to each vertex
+    queue = deque([1])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(adj[v]):
+            if w in down:
+                continue
+            oriented.append((v, w) if v in b.bipartition.minus else (w, v))
+            down[w] = list(down[v])
+            down[w][len(oriented) - 1] = 1 if oriented[-1] == (v, w) else -1
+            queue.append(w)
+    tree = {(min(e), max(e)) for e in oriented}
+    rows = {
+        (a, c): [x - y for x, y in zip(down[a], down[c])]
+        for a, c in g.edges
+        if (a, c) not in tree
+    }
+    return oriented, rows
+
+
+def scan_sign_vectors(g: Graph, b: MaxBipartiteSubgraph) -> list[tuple[int, ...]]:
+    """Oracle: every d in {-1,+1}^n in binary order (-1 before +1), kept if
+    each fundamental-cycle row sums to +-1 on d for an edge of b and to 0
+    for an edge outside b."""
+    _, rows = fundamental_cycle_rows(g, b)
+    b_edges = set(b.edges)
+    wanted = [(row, (-1, 1) if e in b_edges else (0,)) for e, row in rows.items()]
+    return [
+        d
+        for d in itertools.product((-1, 1), repeat=g.n)
+        if all(sum(c * x for c, x in zip(row, d)) in ok for row, ok in wanted)
+    ]
+
+
 def two_color(edges, vertex_count: int) -> Bipartition:
     """Oracle: 2-color a connected spanning edge set by BFS from vertex 1,
     which goes on the plus side."""

@@ -7,6 +7,7 @@ are the stated wall-clock budgets.
 
 import itertools
 import json
+import random
 import time
 
 from adjpoly import (
@@ -15,7 +16,6 @@ from adjpoly import (
     configuration_from_graph,
     count_sum_two,
     count_sum_zero,
-    cyclomatic_number,
     enumerate_all_facets,
     enumerate_maximal_bipartite_subgraphs,
     face_properties,
@@ -32,9 +32,11 @@ from adjpoly.counting import cycle_graph
 
 from conftest import (
     all_cycles,
+    cyclomatic_number,
     exhaustive_corpus,
     is_bipartite_edges,
     n6_sample_graphs,
+    random_connected_graph,
 )
 
 
@@ -43,9 +45,26 @@ def _report(number: int, description: str) -> None:
 
 
 def _oracle_corpus(joined45):
-    """Exhaustive labeled N <= 5, the fixed N = 6 sample, and the 7-vertex
-    joined-cycle graph."""
-    return list(exhaustive_corpus(5)) + list(n6_sample_graphs().values()) + [joined45]
+    """Exhaustive labeled N <= 5, the fixed N = 6 sample, the 7-vertex
+    joined-cycle graph, and 12 seeded random graphs with N = 7-8."""
+    return (
+        list(exhaustive_corpus(5))
+        + list(n6_sample_graphs().values())
+        + [joined45]
+        + _random_sparse_graphs()
+    )
+
+
+def _random_sparse_graphs() -> list:
+    """Connected graphs with N = 7-8, at least one cycle and at most 12
+    edges, so the brute-force oracle takes at most a few seconds each."""
+    rng = random.Random(7)
+    graphs = []
+    while len(graphs) < 12:
+        g = random_connected_graph(rng.randint(7, 8), 0.15, rng)
+        if g.vertex_count <= g.m <= 12:
+            graphs.append(g)
+    return graphs
 
 
 def test_criterion_1_worked_example(joined45, joined45_path):

@@ -7,18 +7,16 @@ import random
 import pytest
 
 from adjpoly import (
-    CycleConstraintSystem,
-    CycleVector,
     EmptySubset,
     Facet,
     InnerNormal,
+    PotentialStep,
     TooLarge,
     ValidationError,
     balancing_check,
     brute_force_facets,
     build_cycle_system,
     configuration_from_graph,
-    cyclomatic_number,
     enumerate_all_facets,
     enumerate_facet_classes,
     enumerate_maximal_bipartite_subgraphs,
@@ -27,21 +25,23 @@ from adjpoly import (
     has_even_cycle,
     is_simplicial,
     parse_edge_list,
-    spanning_tree,
     verify_facet,
 )
 from adjpoly.counting import cycle_graph
 from adjpoly.geometry import edge_point
+from adjpoly.graphs import Bipartition, MaxBipartiteSubgraph
 from adjpoly.linalg import integer_rank
 
 from conftest import (
     all_cycles,
     balanced_on_all_cycles,
+    cyclomatic_number,
     exhaustive_corpus,
     is_bipartite_edges,
     n6_sample_graphs,
     path_graph,
     random_connected_graph,
+    scan_sign_vectors,
 )
 
 
@@ -56,23 +56,24 @@ def _subgraph_by_edges(g, edges):
     return matches[0]
 
 
+def _replay_scan(steps):
+    """Oracle: every sign vector in binary order whose replayed potentials
+    meet every check of every step."""
+    kept = []
+    for d in itertools.product((-1, 1), repeat=len(steps)):
+        pot = {1: 0}
+        for step, dk in zip(steps, d):
+            pot[step.vertex] = pot[step.parent] + step.sign * dk
+        if all(
+            abs(pot[s.vertex] - pot[u]) == gap for s in steps for u, gap in s.checks
+        ):
+            kept.append(d)
+    return kept
+
+
 def _class_of(g, b):
     (cls,) = [c for c in enumerate_facet_classes(g) if c.subgraph == b]
     return cls
-
-
-def _dot(row, d):
-    return sum(c * x for c, x in zip(row.coeffs, d))
-
-
-def _scan_sign_vectors(sys):
-    """Oracle: every sign vector, kept if it solves every row exactly."""
-    return [
-        d
-        for d in itertools.product((-1, 1), repeat=len(sys.tree.edges))
-        if all(_dot(r, d) in (-1, 1) for r in sys.rows_pm)
-        and all(_dot(r, d) == 0 for r in sys.rows_zero)
-    ]
 
 
 class TestSignOrderEnds:
@@ -106,48 +107,107 @@ class TestSignOrderEnds:
             for cls in enumerate_facet_classes(g):
                 ds = enumerate_sign_vectors(build_cycle_system(g, cls.subgraph))
                 assert ds[0] == (-1,) * g.n and ds[-1] == (1,) * g.n
-                side = cls.subgraph.bipartition.side
+                plus = cls.subgraph.bipartition.plus
                 first, last = cls.facets[0], cls.facets[-1]
-                assert all(side(t) == 1 == -side(h) for t, h in first.directed_edges)
-                assert all(side(t) == -1 == -side(h) for t, h in last.directed_edges)
+                assert all(t in plus and h not in plus for t, h in first.directed_edges)
+                assert all(t not in plus and h in plus for t, h in last.directed_edges)
                 assert first.normal.coeffs == tuple(-c for c in last.normal.coeffs)
 
 
 class TestCycleSystem:
-    def test_c4_single_pm_row(self):
-        g = cycle_graph(4)
+    def test_k2_single_oriented_edge(self):
+        g = parse_edge_list("1 2")
         b = enumerate_maximal_bipartite_subgraphs(g)[0]
-        sys = build_cycle_system(g, b)
-        assert len(sys.rows_pm) == 1
-        assert len(sys.rows_zero) == 0
-        assert sorted(sys.rows_pm[0].coeffs) == [-1, 1, 1]
+        (step,) = build_cycle_system(g, b)
+        assert (step.vertex, step.parent, step.sign) == (2, 1, -1)
+        assert step.tree_edge == (2, 1)
+        assert step.checks == ()
+
+    def test_c4_bfs_tree(self):
+        # BFS from 1 with ascending neighbors discovers {1,2}, {1,4}, {2,3}
+        g = cycle_graph(4)
+        steps = build_cycle_system(g, enumerate_maximal_bipartite_subgraphs(g)[0])
+        assert [s.tree_edge for s in steps] == [(2, 1), (4, 1), (2, 3)]
+        assert [s.checks for s in steps] == [(), (), ((4, 1),)]
+
+    def test_triangle_path_subgraph(self):
+        # the edge (1, 3) outside b asks 3 to share 1's potential
+        g = cycle_graph(3)
+        b = _subgraph_by_edges(g, [(1, 2), (2, 3)])
+        steps = build_cycle_system(g, b)
+        assert [s.tree_edge for s in steps] == [(2, 1), (2, 3)]
+        assert [s.checks for s in steps] == [(), ((1, 0),)]
 
     def test_joined_cycles_tree_class(self, joined45):
-        # spanning-tree subgraph: two zero rows, no pm rows
+        # spanning-tree subgraph: its two other edges of g need gap 0
         b = _subgraph_by_edges(
             joined45, set(joined45.edges) - {(1, 2), (1, 4)}
         )
-        sys = build_cycle_system(joined45, b)
-        assert len(sys.rows_pm) == 0
-        assert len(sys.rows_zero) == 2
-        supports = sorted(sum(1 for c in r.coeffs if c) for r in sys.rows_zero)
-        assert supports == [4, 6]
+        checks = [c for s in build_cycle_system(joined45, b) for c in s.checks]
+        assert sorted(gap for _, gap in checks) == [0, 0]
 
     def test_joined_cycles_corank1_class(self, joined45):
-        # 4-cycle plus path subgraph: one pm row, one zero row
+        # 4-cycle plus path subgraph: one edge of b and one edge of g
+        # outside b close cycles, so one check needs gap 1 and one gap 0
         b = _subgraph_by_edges(joined45, set(joined45.edges) - {(1, 7)})
-        sys = build_cycle_system(joined45, b)
-        assert len(sys.rows_pm) == 1
-        assert len(sys.rows_zero) == 1
-        assert sum(1 for c in sys.rows_pm[0].coeffs if c) == 3
-        assert sum(1 for c in sys.rows_zero[0].coeffs if c) == 4
+        checks = [c for s in build_cycle_system(joined45, b) for c in s.checks]
+        assert sorted(gap for _, gap in checks) == [0, 1]
 
-    def test_row_counts_everywhere(self):
+    def test_deterministic(self, joined45):
+        # the steps depend on g and b only, not on how the edge list was
+        # written: reversed lines with swapped ends give the same steps
+        text = "\n".join(f"{v} {u}" for u, v in reversed(joined45.edges))
+        shuffled = parse_edge_list(text)
+        pairs = zip(
+            enumerate_maximal_bipartite_subgraphs(joined45),
+            enumerate_maximal_bipartite_subgraphs(shuffled),
+        )
+        for b, b2 in pairs:
+            assert b == b2
+            assert build_cycle_system(joined45, b) == build_cycle_system(shuffled, b2)
+            assert build_cycle_system(joined45, b) == build_cycle_system(joined45, b)
+
+    def test_orientation_runs_minus_to_plus(self, joined45):
+        for b in enumerate_maximal_bipartite_subgraphs(joined45):
+            for step in build_cycle_system(joined45, b):
+                tail, head = step.tree_edge
+                assert tail in b.bipartition.minus and head in b.bipartition.plus
+                assert step.sign == (1 if step.vertex == head else -1)
+
+    def test_tree_is_spanning_and_acyclic_in_bfs_order(self):
         for g in exhaustive_corpus(5):
             for b in enumerate_maximal_bipartite_subgraphs(g):
-                sys = build_cycle_system(g, b)
-                assert len(sys.rows_pm) == b.cyclomatic_number()
-                assert len(sys.rows_pm) + len(sys.rows_zero) == g.m - g.n
+                steps = build_cycle_system(g, b)
+                order = [1] + [s.vertex for s in steps]
+                assert sorted(order) == list(g.vertices())
+                # BFS: a vertex comes after its parent, and children come
+                # in the order their parents were reached
+                parents = [order.index(s.parent) for s in steps]
+                assert all(p <= k for k, p in enumerate(parents))
+                assert parents == sorted(parents)
+                assert all({s.parent, s.vertex} == set(s.tree_edge) for s in steps)
+                tree = [(min(s.tree_edge), max(s.tree_edge)) for s in steps]
+                assert set(tree) <= set(b.edges)
+                assert cyclomatic_number(tree, g) == 0
+
+    def test_checks_cover_the_other_edges(self):
+        # each non-tree edge of g is checked once, from its later endpoint,
+        # with gap 1 on edges of b and 0 elsewhere
+        for g in exhaustive_corpus(5):
+            for b in enumerate_maximal_bipartite_subgraphs(g):
+                steps = build_cycle_system(g, b)
+                position = {1: 0} | {s.vertex: k + 1 for k, s in enumerate(steps)}
+                checked = {}
+                for s in steps:
+                    for u, gap in s.checks:
+                        assert position[u] < position[s.vertex]
+                        checked[(min(u, s.vertex), max(u, s.vertex))] = gap
+                tree = {(min(s.tree_edge), max(s.tree_edge)) for s in steps}
+                assert sum(len(s.checks) for s in steps) == g.m - g.n
+                assert checked == {
+                    e: int(e in b.edges) for e in g.edges if e not in tree
+                }
+                assert sum(checked.values()) == b.cyclomatic_number()
 
 
 class TestEnumerateSignVectors:
@@ -164,56 +224,83 @@ class TestEnumerateSignVectors:
     def test_triangle_two_solutions(self):
         g = cycle_graph(3)
         b = _subgraph_by_edges(g, [(1, 2), (2, 3)])
-        sys = build_cycle_system(g, b)
-        assert len(sys.rows_zero) == 1
-        assert len(enumerate_sign_vectors(sys)) == 2
-
-    def test_matches_exhaustive_scan(self):
-        graphs = list(exhaustive_corpus(4))
-        graphs += [g for g in exhaustive_corpus(5) if g.vertex_count == 5][::13]
-        for g in graphs:
-            for b in enumerate_maximal_bipartite_subgraphs(g):
-                sys = build_cycle_system(g, b)
-                assert enumerate_sign_vectors(sys) == _scan_sign_vectors(sys)
+        assert enumerate_sign_vectors(build_cycle_system(g, b)) == [(-1, -1), (1, 1)]
 
     def test_hand_built_systems_exact(self):
-        # a +-1 row with even support has an even value, so it can close
-        # at 0 and never reaches its target; every leaf must still be exact
-        tree = spanning_tree(enumerate_maximal_bipartite_subgraphs(path_graph(5))[0])
-        even_pm = CycleVector(non_tree_edge=(1, 3), coeffs=(1, -1, 0, 0))
-        odd_pm = CycleVector(non_tree_edge=(1, 4), coeffs=(1, 1, -1, 0))
-        zero = CycleVector(non_tree_edge=(2, 5), coeffs=(0, 1, 1, 0))
-        empty_pm = CycleVector(non_tree_edge=(1, 5), coeffs=(0, 0, 0, 0))
+        # checks that build_cycle_system never makes: gap 1 across an even
+        # tree distance and gap 0 across an odd one cannot be met, so the
+        # search must return []; every leaf it returns must meet every check
+        path = (
+            PotentialStep(2, 1, (2, 1), -1, ()),
+            PotentialStep(3, 2, (2, 3), 1, ()),
+            PotentialStep(4, 3, (4, 3), -1, ()),
+            PotentialStep(5, 4, (4, 5), 1, ()),
+        )
+        # (step index, (earlier vertex, gap)): step k sets vertex k + 2
+        odd_gap1, even_gap0 = (2, (1, 1)), (3, (3, 0))
+        even_gap1, odd_gap0 = (1, (1, 1)), (2, (1, 0))
         cases = [
-            ((even_pm,), ()),
-            ((even_pm,), (zero,)),
-            ((odd_pm,), (zero,)),
-            ((odd_pm, even_pm), ()),
-            ((empty_pm,), ()),
+            (),
+            (odd_gap1,),
+            (odd_gap1, even_gap0),
+            (even_gap1,),
+            (odd_gap0,),
+            (odd_gap1, even_gap0, odd_gap0),
         ]
-        for rows_pm, rows_zero in cases:
-            sys = CycleConstraintSystem(tree=tree, rows_pm=rows_pm, rows_zero=rows_zero)
-            solutions = enumerate_sign_vectors(sys)
-            assert solutions == _scan_sign_vectors(sys)
-            assert (solutions == []) == (even_pm in rows_pm or empty_pm in rows_pm)
+        for checks in cases:
+            steps = list(path)
+            for k, check in checks:
+                steps[k] = dataclasses.replace(
+                    steps[k], checks=steps[k].checks + (check,)
+                )
+            steps = tuple(steps)
+            solutions = enumerate_sign_vectors(steps)
+            assert solutions == _replay_scan(steps)
+            impossible = even_gap1 in checks or odd_gap0 in checks
+            assert (solutions == []) == impossible
+
+    def test_binary_order(self):
+        # -1 before +1 at every depth: the vectors of a class come sorted
+        # with -1 < +1, and a tree class has all 2^n of them
+        for g in exhaustive_corpus(4):
+            for b in enumerate_maximal_bipartite_subgraphs(g):
+                solutions = enumerate_sign_vectors(build_cycle_system(g, b))
+                assert solutions == sorted(solutions)
+        g = path_graph(5)
+        (b,) = enumerate_maximal_bipartite_subgraphs(g)
+        assert enumerate_sign_vectors(build_cycle_system(g, b)) == list(
+            itertools.product((-1, 1), repeat=4)
+        )
+
+    def test_matches_fundamental_cycle_scan(self):
+        # same sign vectors in the same order as a scan of all 2^n vectors
+        # against the fundamental-cycle rows of the same BFS tree
+        rng = random.Random(77)
+        graphs = list(exhaustive_corpus(5)) + [
+            random_connected_graph(rng.randint(6, 9), rng.uniform(0.15, 0.6), rng)
+            for _ in range(100)
+        ]
+        classes = 0
+        for g in graphs:
+            for b in enumerate_maximal_bipartite_subgraphs(g):
+                ds = enumerate_sign_vectors(build_cycle_system(g, b))
+                assert ds == scan_sign_vectors(g, b), (g.edges, b.edges)
+                classes += 1
+        assert classes > 9_000
 
     def test_guard_on_huge_tree(self):
         # 20,000 tree edges: 2^n has more decimal digits than int -> str
         # allows, so the guard must refuse without printing it
-        tree = spanning_tree(enumerate_maximal_bipartite_subgraphs(path_graph(3))[0])
-        huge = dataclasses.replace(
-            tree, edges=tuple((i, i + 1) for i in range(1, 20001))
+        g = path_graph(20001)
+        odd = frozenset(range(1, 20002, 2))
+        b = MaxBipartiteSubgraph(
+            bipartition=Bipartition(plus=odd, minus=frozenset(g.vertices()) - odd),
+            edges=g.edges,
         )
-        sys = CycleConstraintSystem(tree=huge, rows_pm=(), rows_zero=())
+        steps = build_cycle_system(g, b)
+        assert len(steps) == 20000
         with pytest.raises(TooLarge, match=r"n = 20000 > 30 .* up to 2\^20000 sign"):
-            enumerate_sign_vectors(sys)
-
-    def test_binary_order(self):
-        g = cycle_graph(4)
-        b = enumerate_maximal_bipartite_subgraphs(g)[0]
-        solutions = enumerate_sign_vectors(build_cycle_system(g, b))
-        keys = [tuple(0 if x == -1 else 1 for x in d) for d in solutions]
-        assert keys == sorted(keys)
+            enumerate_sign_vectors(steps)
 
 
 class TestFacetFromSignVector:
@@ -242,11 +329,12 @@ class TestFacetFromSignVector:
     def test_signed_tree_points_lie_on_facet(self, joined45):
         for g in (cycle_graph(4), joined45):
             for cls in enumerate_facet_classes(g):
-                system = build_cycle_system(g, cls.subgraph)
-                ds = enumerate_sign_vectors(system)
+                steps = build_cycle_system(g, cls.subgraph)
+                ds = enumerate_sign_vectors(steps)
                 assert len(ds) == len(cls.facets)
                 for d, facet in zip(ds, cls.facets):
-                    for dk, oriented in zip(d, system.tree.oriented):
+                    for dk, step in zip(d, steps):
+                        oriented = step.tree_edge
                         edge = oriented if dk == 1 else oriented[::-1]
                         assert edge in facet.directed_edges
 

@@ -1,20 +1,17 @@
-"""Graph parsing, maximal bipartite subgraphs, trees, fundamental cycles."""
+"""Graph parsing, maximal bipartite subgraphs, even cycles, and the
+fundamental-cycle and cyclomatic-number oracles."""
 
 import random
 
 import pytest
 
 from adjpoly import (
-    EdgeInTree,
     Graph,
     ParseError,
     ValidationError,
-    cyclomatic_number,
     enumerate_maximal_bipartite_subgraphs,
-    fundamental_cycle,
     has_even_cycle,
     parse_edge_list,
-    spanning_tree,
 )
 from adjpoly.counting import cycle_graph
 from adjpoly.geometry import edge_point
@@ -22,7 +19,9 @@ from adjpoly.geometry import edge_point
 from conftest import (
     brute_force_max_bipartite,
     complete_graph,
+    cyclomatic_number,
     exhaustive_corpus,
+    fundamental_cycle_rows,
     n6_sample_graphs,
     path_graph,
     random_connected_graph,
@@ -185,42 +184,6 @@ def _is_bipartite(edges) -> bool:
     return is_bipartite_edges(edges)
 
 
-class TestSpanningTree:
-    def test_k2_single_oriented_edge(self):
-        g = parse_edge_list("1 2")
-        b = enumerate_maximal_bipartite_subgraphs(g)[0]
-        t = spanning_tree(b)
-        assert t.edges == ((1, 2),)
-        assert t.oriented == ((2, 1),)
-
-    def test_c4_bfs_tree(self):
-        # BFS from 1 with ascending neighbors discovers {1,2}, {1,4}, {2,3}
-        b = enumerate_maximal_bipartite_subgraphs(cycle_graph(4))[0]
-        t = spanning_tree(b)
-        assert t.edges == ((1, 2), (1, 4), (2, 3))
-        assert t.oriented == ((2, 1), (4, 1), (2, 3))
-
-    def test_orientation_runs_minus_to_plus(self, joined45):
-        for b in enumerate_maximal_bipartite_subgraphs(joined45):
-            t = spanning_tree(b)
-            for tail, head in t.oriented:
-                assert b.bipartition.side(tail) == -1
-                assert b.bipartition.side(head) == 1
-
-    def test_deterministic(self, joined45):
-        b = enumerate_maximal_bipartite_subgraphs(joined45)[0]
-        t1, t2 = spanning_tree(b), spanning_tree(b)
-        assert t1.edges == t2.edges
-        assert t1.oriented == t2.oriented
-
-    def test_tree_is_spanning_and_acyclic(self):
-        for g in exhaustive_corpus(5):
-            for b in enumerate_maximal_bipartite_subgraphs(g):
-                t = spanning_tree(b)
-                assert len(t.edges) == g.vertex_count - 1
-                assert cyclomatic_number(t.edges, g) == 0
-
-
 class TestFundamentalCycle:
     def test_triangle_point_identity(self):
         c3 = cycle_graph(3)
@@ -229,28 +192,21 @@ class TestFundamentalCycle:
             for s in enumerate_maximal_bipartite_subgraphs(c3)
             if set(s.edges) == {(1, 2), (2, 3)}
         ][0]
-        t = spanning_tree(b)
-        cyc = fundamental_cycle(t, (1, 3))
-        assert cyc.non_tree_edge == (1, 3)
-        assert set(cyc.coeffs) <= {-1, 0, 1}
-        _assert_point_identity(c3, t, cyc)
-
-    def test_edge_in_tree_rejected(self):
-        b = enumerate_maximal_bipartite_subgraphs(cycle_graph(3))[0]
-        t = spanning_tree(b)
-        with pytest.raises(EdgeInTree):
-            fundamental_cycle(t, t.edges[0])
+        oriented, rows = fundamental_cycle_rows(c3, b)
+        assert oriented == [(2, 1), (2, 3)]
+        assert list(rows) == [(1, 3)]
+        assert rows[(1, 3)] == [1, -1]
+        _assert_point_identity(c3, oriented, (1, 3), rows[(1, 3)])
 
     def test_point_identity_everywhere(self):
         for g in exhaustive_corpus(5):
             for b in enumerate_maximal_bipartite_subgraphs(g):
-                t = spanning_tree(b)
-                for e in g.edges:
-                    if e in set(t.edges):
-                        continue
-                    cyc = fundamental_cycle(t, e)
-                    assert set(cyc.coeffs) <= {-1, 0, 1}
-                    _assert_point_identity(g, t, cyc)
+                oriented, rows = fundamental_cycle_rows(g, b)
+                assert len(oriented) == g.n
+                assert len(rows) == g.m - g.n
+                for e, row in rows.items():
+                    assert set(row) <= {-1, 0, 1}
+                    _assert_point_identity(g, oriented, e, row)
 
     def test_joined_cycles_tree_class_rows(self, joined45):
         # the maximal bipartite subgraph that is the path 2-3-4-5-6-7-1:
@@ -262,36 +218,28 @@ class TestFundamentalCycle:
             for s in enumerate_maximal_bipartite_subgraphs(joined45)
             if frozenset(s.edges) == target
         ][0]
-        t = spanning_tree(b)
-        rows = sorted(
-            (
-                sorted(fundamental_cycle(t, e).coeffs, reverse=True)
-                for e in ((1, 2), (1, 4))
-            ),
-            key=lambda r: r.count(0),
-        )
-        assert rows[0] == [1, 1, 1, -1, -1, -1]
-        assert rows[1] == [1, 1, 0, 0, -1, -1]
+        _, rows = fundamental_cycle_rows(joined45, b)
+        assert sorted(rows) == [(1, 2), (1, 4)]
+        assert sorted(rows[(1, 2)], reverse=True) == [1, 1, 1, -1, -1, -1]
+        assert sorted(rows[(1, 4)], reverse=True) == [1, 1, 0, 0, -1, -1]
 
 
-def _assert_point_identity(g, t, cyc):
-    """Q(tree) . coeffs equals the point of the reversed non-tree edge."""
+def _assert_point_identity(g, oriented, e, row):
+    """The signed tree points of the row sum to the point of e reversed."""
     n = g.n
-    a, b = cyc.non_tree_edge
-    expected = edge_point(n, b, a)
+    a, b = e
     acc = [0] * n
-    for coeff, oriented in zip(cyc.coeffs, t.oriented):
+    for coeff, edge in zip(row, oriented):
         if coeff:
-            p = edge_point(n, *oriented)
+            p = edge_point(n, *edge)
             acc = [x + coeff * y for x, y in zip(acc, p)]
-    assert tuple(acc) == expected
+    assert tuple(acc) == edge_point(n, b, a)
 
 
 class TestCyclomaticNumber:
     def test_tree_edges_zero(self, joined45):
-        b = enumerate_maximal_bipartite_subgraphs(joined45)[0]
-        t = spanning_tree(b)
-        assert cyclomatic_number(t.edges, joined45) == 0
+        path = set(joined45.edges) - {(1, 2), (1, 4)}
+        assert cyclomatic_number(path, joined45) == 0
 
     def test_four_cycle_one(self):
         c4 = cycle_graph(4)
