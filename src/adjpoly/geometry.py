@@ -126,11 +126,12 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence) -> Fac
     The normal a is read as vertex potentials with vertex 1 at 0, so the
     point of (t, h) takes a_t - a_h in O(1); integer normals are used as
     they are and other entries are cleared of denominators first.  The
-    minimizer set of <., normal> must be (n-1)-dimensional, which one
-    integer rank decides, else ZeroNormal or NotAFacet is raised.  By
-    reflexivity the primitive normal of a facet then attains exactly -1
-    on it and > -1 elsewhere; any other minimum raises
-    InternalInconsistency.
+    minimizer set of <., normal> must be (n-1)-dimensional, else
+    ZeroNormal or NotAFacet is raised; with a negative minimum that is
+    linear rank n of the tight points, which `linalg.integer_rank` counts
+    by union-find over their edges.  By reflexivity the primitive normal
+    of a facet then attains exactly -1 on it and > -1 elsewhere; any other
+    minimum raises InternalInconsistency.
     """
     coeffs = _as_integer_coeffs(normal)
     if len(coeffs) != cfg.dim:
@@ -147,7 +148,9 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence) -> Fac
         # configuration, but guard against misuse
         raise NotAFacet("normal does not attain a negative minimum")
     min_indices = tuple(i for i, v in enumerate(values) if v == minimum)
-    if affine_dimension([cfg.points[i] for i in min_indices]) != cfg.dim - 1:
+    # the minimum is < 0, so the tight points lie on a hyperplane that
+    # misses the origin and their affine dimension is their rank - 1
+    if linalg.integer_rank([cfg.points[i] for i in min_indices]) != cfg.dim:
         raise NotAFacet(
             f"minimizer set has affine dimension != {cfg.dim - 1}"
         )
@@ -201,8 +204,8 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
     For every n-subset of points that spans a hyperplane avoiding the
     origin, solves <x, a> = -1 exactly and accepts the hyperplane iff the
     whole configuration lies on the far side.  Output is deduplicated by
-    primitive normal and sorted lexicographically by it.  Subsets that
-    contain a +- pair are skipped: their affine span passes through 0.
+    primitive normal and sorted lexicographically by it.  Edge sets of
+    rank < n are skipped before their 2^n orientations are solved.
     """
     n = cfg.dim
     m = cfg.graph.m
@@ -218,6 +221,10 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
     ]
     found: set[tuple[int, ...]] = set()
     for edge_combo in itertools.combinations(range(m), n):
+        # a sign flip keeps the rank, so a dependent edge set is singular
+        # in all 2^n orientations
+        if linalg.integer_rank([cfg.points[2 * e] for e in edge_combo]) < n:
+            continue
         for signs in itertools.product((0, 1), repeat=n):
             subset = [2 * e + s for e, s in zip(edge_combo, signs)]
             solved = linalg.solve_neg_ones([cfg.points[i] for i in subset])

@@ -1,8 +1,9 @@
 """Exact integer linear algebra for small dense systems.
 
-Everything here runs over arbitrary-precision integers with fraction-free
-elimination; neither Fractions nor floating point are used, so facet
-identities are decided exactly.
+Everything here runs over arbitrary-precision integers; neither Fractions
+nor floating point are used, so facet identities are decided exactly.
+The rank of signed edge vectors (an incidence matrix) is counted by
+union-find; every other matrix gets fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -12,7 +13,15 @@ from typing import Sequence
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix."""
+    """Rank over the rationals of an integer matrix.
+
+    If every row is a signed edge vector (zero, a lone +-1, or one +1 and
+    one -1), union-find counts the rank in time linear in the entries;
+    any other row sends the whole matrix to Bareiss elimination.
+    """
+    rank = _edge_rank(rows)
+    if rank is not None:
+        return rank
     matrix = [list(row) for row in rows if any(row)]
     if not matrix:
         return 0
@@ -48,6 +57,37 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
                         row[c] //= g
         rank += 1
         col += 1
+    return rank
+
+
+def _edge_rank(rows: Sequence[Sequence[int]]) -> int | None:
+    """Rank of signed edge vectors, or None if some row is not one.
+
+    Column c is node c + 1 and node 0 stands for the projected-out vertex
+    1; a row joins the nodes of its +1 and its -1, a lone +-1 joins node
+    0.  Edge vectors form a graphic matroid, so the rank is the number of
+    rows that join two components, whatever their signs or repeats.
+    """
+    parent: list[int] = []
+    rank = 0
+    for row in rows:
+        plus = row.count(1)
+        minus = row.count(-1)
+        if plus > 1 or minus > 1 or plus + minus + row.count(0) != len(row):
+            return None
+        u = row.index(1) + 1 if plus else 0
+        v = row.index(-1) + 1 if minus else 0
+        if u == v:
+            continue  # zero row
+        if not parent:
+            parent = list(range(len(row) + 1))
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            rank += 1
     return rank
 
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from adjpoly import Graph, ValidationError, parse_edge_list
+from adjpoly.geometry import PointConfiguration, verify_facet
 from adjpoly.graphs import Bipartition, MaxBipartiteSubgraph
+from adjpoly.linalg import primitive, solve_neg_ones
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,6 +161,34 @@ def _connected_spanning(edges, vertex_count: int) -> bool:
                 seen.add(w)
                 queue.append(w)
     return len(seen) == vertex_count
+
+
+def spanning_tree_count(g: Graph) -> int:
+    """Oracle: the number of (N-1)-edge subsets that connect all vertices."""
+    return sum(
+        _connected_spanning(edges, g.vertex_count)
+        for edges in itertools.combinations(g.edges, g.n)
+    )
+
+
+def unpruned_brute_force_facets(cfg: PointConfiguration):
+    """Reference: the hyperplane oracle's loop with no rank skip, solving
+    all 2^n orientations of every n-edge subset."""
+    n = cfg.dim
+    found = set()
+    for edge_combo in itertools.combinations(range(cfg.graph.m), n):
+        for signs in itertools.product((0, 1), repeat=n):
+            subset = [2 * e + s for e, s in zip(edge_combo, signs)]
+            solved = solve_neg_ones([cfg.points[i] for i in subset])
+            if solved is None:
+                continue
+            nums, den = solved
+            if all(
+                sum(x * a for x, a in zip(point, nums)) >= -den
+                for point in cfg.points
+            ):
+                found.add(primitive(nums))
+    return [verify_facet(cfg, key) for key in sorted(found)]
 
 
 def all_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -352,6 +382,27 @@ def random_integer_matrix(rng: random.Random, rows: int, cols: int) -> list[list
         matrix[rng.randrange(rows)] = [0] * cols
     if rows > 1 and rng.random() < 0.2:
         matrix[rng.randrange(rows)] = list(matrix[rng.randrange(rows)])
+    return matrix
+
+
+def random_edge_vectors(rng: random.Random, rows: int, cols: int) -> list[tuple[int, ...]]:
+    """Signed edge vectors: zero rows, a lone +-1, one +1 and one -1, and
+    repeated or negated earlier rows."""
+    matrix: list[tuple[int, ...]] = []
+    for _ in range(rows):
+        kind = rng.randrange(6)
+        if matrix and kind == 0:
+            matrix.append(rng.choice(matrix))
+        elif matrix and kind == 1:
+            matrix.append(tuple(-x for x in rng.choice(matrix)))
+        else:
+            row = [0] * cols
+            if kind != 2:
+                ends = rng.sample(range(cols + 1), 2)
+                for end, sign in zip(ends, (1, -1)):
+                    if end < cols:  # end == cols is the projected-out vertex
+                        row[end] = sign
+            matrix.append(tuple(row))
     return matrix
 
 

@@ -28,8 +28,12 @@ from conftest import (
     exhaustive_corpus,
     fraction_rank,
     fraction_solve_neg_ones,
+    n6_sample_graphs,
+    random_edge_vectors,
     random_integer_matrix,
+    spanning_tree_count,
     two_color,
+    unpruned_brute_force_facets,
 )
 
 
@@ -96,6 +100,33 @@ class TestIntegerRank:
             assert integer_rank(matrix) == rank, matrix
             deficient += rank < min(rows, cols)
         assert deficient > 100
+
+    def test_edge_vectors_match_fraction_oracle(self):
+        rng = random.Random(63)
+        ranks = {"full": 0, "deficient": 0}
+        for _ in range(2400):
+            cols = rng.randint(1, 10)
+            matrix = random_edge_vectors(rng, rng.randint(1, 12), cols)
+            rank = fraction_rank(matrix)
+            assert linalg._edge_rank(matrix) == rank, matrix
+            assert integer_rank(matrix) == rank, matrix
+            ranks["full" if rank == min(len(matrix), cols) else "deficient"] += 1
+        assert min(ranks.values()) > 300
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(2, 0), (1, -1)],  # an entry 2
+            [(1, 1), (1, -1)],  # two +1
+            [(-1, -1), (1, -1)],  # two -1
+            [(1, -1, 1), (1, 0, 0), (0, 1, 0)],  # three nonzeros
+            [(1, -1, 0), (0, 1, -1), (1, 1, 1)],  # a good row, then a bad one
+            [(1, -1, 0), (0, 0, 0), (-1, 2, -1)],
+        ],
+    )
+    def test_near_misses_take_bareiss(self, rows):
+        assert linalg._edge_rank(rows) is None
+        assert integer_rank(rows) == fraction_rank(rows)
 
 
 class TestSolveNegOnes:
@@ -193,10 +224,10 @@ class TestVerifyFacet:
                 assert value > -1
 
     def test_minimum_other_than_minus_one_is_inconsistent(self, monkeypatch):
-        # (2, 1, 0) on C4 attains -2, so it is no facet; with the dimension
+        # (2, 1, 0) on C4 attains -2, so it is no facet; with the rank
         # check forced to pass, the -1 assertion must catch it
         cfg = configuration_from_graph(cycle_graph(4))
-        monkeypatch.setattr(geometry, "affine_dimension", lambda points: cfg.dim - 1)
+        monkeypatch.setattr(linalg, "integer_rank", lambda rows: cfg.dim)
         with pytest.raises(InternalInconsistency, match="minimum -2"):
             verify_facet(cfg, (2, 1, 0))
 
@@ -281,3 +312,21 @@ class TestBruteForceOracle:
         for facet in brute_force_facets(cfg):
             again = verify_facet(cfg, facet.normal.coeffs)
             assert again.point_indices == facet.point_indices
+
+    def test_rank_skip_matches_unpruned_loop(self, monkeypatch):
+        solves = 0
+        solve = linalg.solve_neg_ones
+
+        def counted(rows):
+            nonlocal solves
+            solves += 1
+            return solve(rows)
+
+        monkeypatch.setattr(linalg, "solve_neg_ones", counted)
+        for g in list(exhaustive_corpus(5)) + list(n6_sample_graphs().values()):
+            cfg = configuration_from_graph(g)
+            solves = 0
+            facets = brute_force_facets(cfg)
+            # only the spanning trees are independent n-edge sets
+            assert solves == 2**g.n * spanning_tree_count(g), g.edges
+            assert facets == unpruned_brute_force_facets(cfg), g.edges
