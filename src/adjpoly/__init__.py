@@ -45,7 +45,6 @@ from .geometry import (
     Facet,
     InnerNormal,
     PointConfiguration,
-    affine_dimension,
     brute_force_facets,
     configuration_from_graph,
     verify_facet,

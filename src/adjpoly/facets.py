@@ -15,9 +15,10 @@ every other edge of B and of 0 across every edge of G outside B.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable
 
+from . import linalg
 from .errors import EmptySubset, InternalInconsistency, TooLarge, ValidationError
 from .geometry import (
     Facet,
@@ -25,6 +26,7 @@ from .geometry import (
     PointConfiguration,
     configuration_from_graph,
     decode_point,
+    edge_point,
     verify_facet,
 )
 from .graphs import (
@@ -210,18 +212,26 @@ def face_properties(
 ) -> FaceProperties:
     """Geometric properties of a subset of a facet, read off its subgraph.
 
-    For a subgraph touching |V| vertices in k components, dim is
-    |V| - k - 1 (the rank of its edge vectors, minus one), corank is
-    |points| - dim - 1, independence means the subgraph is a forest, and
-    circuit means it is exactly one chordless cycle.  A repeated point, or
-    points that lie on no common face (such as a point and its negative),
-    raise ValidationError.
+    The points' rank is the rank of their edge vectors, which
+    `linalg.integer_rank` counts as |V touched| - k for a subgraph in k
+    components.  Then dim is rank - 1, corank is |points| - rank,
+    independence means the subgraph is a forest (|edges| = rank), and
+    circuit means it is one component with every degree 2, a chordless
+    cycle.  A point of the wrong length or that is not a signed edge
+    vector, a repeated point, or points that lie on no common face (such
+    as a point and its negative) raise ValidationError.
     """
     if isinstance(facet_or_point_subset, Facet):
         directed = list(facet_or_point_subset.directed_edges)
     else:
-        points = list(facet_or_point_subset)
-        directed = [decode_point(p) for p in points]
+        directed = []
+        for p in facet_or_point_subset:
+            if len(p) != g.n:
+                raise ValidationError(f"point {p} has length {len(p)}, expected {g.n}")
+            try:
+                directed.append(decode_point(p))
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from None
     if not directed:
         raise EmptySubset("point subset is empty")
 
@@ -239,37 +249,14 @@ def face_properties(
         g, directed
     ):
         raise ValidationError("the points lie on no common face")
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    component_count = 0
-    seen: set[int] = set()
-    for start in adj:
-        if start in seen:
-            continue
-        component_count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    dim = len(adj) - component_count - 1
-    corank = len(directed) - dim - 1
-    independent = len(edges) == len(adj) - component_count
-    circuit = (
-        component_count == 1
-        and len(edges) == len(adj)
-        and all(len(ws) == 2 for ws in adj.values())
-    )
+    rank = linalg.integer_rank([edge_point(g.n, i, j) for i, j in edges])
+    degree = Counter(v for e in edges for v in e)
+    component_count = len(degree) - rank
     return FaceProperties(
-        dim=dim,
-        corank=corank,
-        independent=independent,
-        circuit=circuit,
+        dim=rank - 1,
+        corank=len(directed) - rank,
+        independent=len(edges) == rank,
+        circuit=component_count == 1 and all(d == 2 for d in degree.values()),
         component_count=component_count,
     )
 

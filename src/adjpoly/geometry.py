@@ -12,7 +12,7 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import InternalInconsistency, NotAFacet, TooLarge, ZeroNormal
@@ -35,12 +35,16 @@ def edge_point(n: int, tail: int, head: int) -> Point:
 
 
 def decode_point(point: Point) -> DirectedEdge:
-    """Inverse of edge_point on valid configuration points."""
+    """Inverse of edge_point on valid configuration points.
+
+    Any other vector, such as one with a second +1 or a second -1,
+    raises ValueError.
+    """
     tail = head = 1
     for idx, value in enumerate(point):
-        if value == 1:
+        if value == 1 and tail == 1:
             tail = idx + 2
-        elif value == -1:
+        elif value == -1 and head == 1:
             head = idx + 2
         elif value != 0:
             raise ValueError(f"{point} is not a signed edge vector")
@@ -186,24 +190,14 @@ def _assemble_facet(
     )
 
 
-def affine_dimension(points: Iterable[Point]) -> int:
-    """Exact affine dimension of a nonempty point set."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("affine dimension of an empty set is undefined")
-    base = pts[0]
-    diffs = [
-        tuple(a - b for a, b in zip(p, base)) for p in pts[1:]
-    ]
-    return linalg.integer_rank(diffs)
-
-
 def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
     """Independent facet oracle: exhaustive hyperplane search.
 
     For every n-subset of points that spans a hyperplane avoiding the
     origin, solves <x, a> = -1 exactly and accepts the hyperplane iff the
-    whole configuration lies on the far side.  Output is deduplicated by
+    whole configuration lies on the far side.  A solution a = nums / den
+    is read as vertex potentials, as in verify_facet, so the point of
+    (t, h) takes (nums_t - nums_h) / den.  Output is deduplicated by
     primitive normal and sorted lexicographically by it.  Edge sets of
     rank < n are skipped before their 2^n orientations are solved.
     """
@@ -215,10 +209,6 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
             f"{len(cfg.points)} points (bound {BRUTE_FORCE_MAX_POINTS}); "
             f"the search would need C({m}, {n}) * 2^{n} solves"
         )
-    sparse = [
-        [(idx, value) for idx, value in enumerate(point) if value]
-        for point in cfg.points
-    ]
     found: set[tuple[int, ...]] = set()
     for edge_combo in itertools.combinations(range(m), n):
         # a sign flip keeps the rank, so a dependent edge set is singular
@@ -231,14 +221,7 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
             if solved is None:
                 continue
             nums, den = solved
-            ok = True
-            for entries in sparse:
-                value = 0
-                for idx, sign in entries:
-                    value += sign * nums[idx]
-                if value < -den:
-                    ok = False
-                    break
-            if ok:
+            pot = (0, 0) + nums
+            if all(pot[t] - pot[h] >= -den for t, h in cfg.directed_edges):
                 found.add(linalg.primitive(nums))
     return [verify_facet(cfg, key) for key in sorted(found)]

@@ -44,6 +44,10 @@ class Graph:
             normalized.append(e)
         if not normalized:
             raise ValidationError("edge list is empty")
+        # a connected graph has at least N - 1 edges; checking that first
+        # keeps a far-off label from sizing the adjacency table below
+        if vertex_count > len(normalized) + 1:
+            raise ValidationError("graph is not connected")
         normalized.sort()
 
         self.vertex_count = vertex_count

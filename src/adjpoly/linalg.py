@@ -1,9 +1,10 @@
-"""Exact integer linear algebra for small dense systems.
+"""Exact integer linear algebra for configuration points.
 
 Everything here runs over arbitrary-precision integers; neither Fractions
 nor floating point are used, so facet identities are decided exactly.
 The rank of signed edge vectors (an incidence matrix) is counted by
-union-find; every other matrix gets fraction-free Bareiss elimination.
+union-find; square systems are solved by fraction-free Bareiss
+elimination.
 """
 
 from __future__ import annotations
@@ -13,60 +14,14 @@ from typing import Sequence
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix.
+    """Rank over the rationals of signed edge vectors, by union-find.
 
-    If every row is a signed edge vector (zero, a lone +-1, or one +1 and
-    one -1), union-find counts the rank in time linear in the entries;
-    any other row sends the whole matrix to Bareiss elimination.
-    """
-    rank = _edge_rank(rows)
-    if rank is not None:
-        return rank
-    matrix = [list(row) for row in rows if any(row)]
-    if not matrix:
-        return 0
-    cols = len(matrix[0])
-    rank = 0
-    col = 0
-    while rank < len(matrix) and col < cols:
-        pivot_row = next(
-            (r for r in range(rank, len(matrix)) if matrix[r][col]), None
-        )
-        if pivot_row is None:
-            col += 1
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank][col]
-        # a unit pivot does not scale the rows it clears, so they skip the
-        # gcd pass; that pass only curbs growth and never changes the rank
-        unit = pivot in (1, -1)
-        for r in range(rank + 1, len(matrix)):
-            factor = matrix[r][col]
-            if factor:
-                row = matrix[r]
-                top = matrix[rank]
-                for c in range(col, cols):
-                    row[c] = row[c] * pivot - factor * top[c]
-                if unit:
-                    continue
-                g = 0
-                for c in range(col, cols):
-                    g = gcd(g, row[c])
-                if g > 1:
-                    for c in range(col, cols):
-                        row[c] //= g
-        rank += 1
-        col += 1
-    return rank
-
-
-def _edge_rank(rows: Sequence[Sequence[int]]) -> int | None:
-    """Rank of signed edge vectors, or None if some row is not one.
-
-    Column c is node c + 1 and node 0 stands for the projected-out vertex
-    1; a row joins the nodes of its +1 and its -1, a lone +-1 joins node
-    0.  Edge vectors form a graphic matroid, so the rank is the number of
-    rows that join two components, whatever their signs or repeats.
+    Every row must be zero, a lone +-1, or one +1 and one -1; any other
+    row raises ValueError.  Column c is node c + 1 and node 0 stands for
+    the projected-out vertex 1; a row joins the nodes of its +1 and its
+    -1, a lone +-1 joins node 0.  Edge vectors form a graphic matroid, so
+    the rank is the number of rows that join two components, whatever
+    their signs or repeats, in time linear in the entries.
     """
     parent: list[int] = []
     rank = 0
@@ -74,7 +29,7 @@ def _edge_rank(rows: Sequence[Sequence[int]]) -> int | None:
         plus = row.count(1)
         minus = row.count(-1)
         if plus > 1 or minus > 1 or plus + minus + row.count(0) != len(row):
-            return None
+            raise ValueError(f"row {tuple(row)} is not a signed edge vector")
         u = row.index(1) + 1 if plus else 0
         v = row.index(-1) + 1 if minus else 0
         if u == v:

@@ -243,8 +243,12 @@ def cyclomatic_number(edge_subset, g: Graph) -> int:
         if e not in g.edge_index:
             raise ValidationError(f"edge {e} is not in the graph")
         edges.add(e)
-    if not edges:
-        return 0
+    touched = {v for e in edges for v in e}
+    return len(edges) - len(touched) + component_count(edges)
+
+
+def component_count(edges) -> int:
+    """Oracle: connected components of the subgraph the edges span, by BFS."""
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
@@ -263,7 +267,7 @@ def cyclomatic_number(edge_subset, g: Graph) -> int:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-    return len(edges) - len(adj) + components
+    return components
 
 
 def fundamental_cycle_rows(g: Graph, b: MaxBipartiteSubgraph):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,13 +31,15 @@ from adjpoly import (
 from adjpoly.counting import cycle_graph
 from adjpoly.geometry import edge_point
 from adjpoly.graphs import Bipartition, MaxBipartiteSubgraph
-from adjpoly.linalg import integer_rank
 
 from conftest import (
     all_cycles,
     balanced_on_all_cycles,
+    complete_graph,
+    component_count,
     cyclomatic_number,
     exhaustive_corpus,
+    fraction_rank,
     is_bipartite_edges,
     n6_sample_graphs,
     path_graph,
@@ -401,6 +404,22 @@ class TestFaceProperties:
         assert props.circuit is True
         assert props.component_count == 1
 
+    def test_two_disjoint_cycles_no_circuit(self):
+        # two 4-cycles joined by the edge (4, 5): without it, every degree
+        # is 2 but the subgraph has two components
+        g = parse_edge_list("1 2\n2 3\n3 4\n4 1\n4 5\n5 6\n6 7\n7 8\n8 5")
+        cfg = configuration_from_graph(g)
+        facet = enumerate_all_facets(g)[0]
+        subset = [
+            cfg.points[i]
+            for i, e in zip(facet.point_indices, facet.subgraph_edges)
+            if e != (4, 5)
+        ]
+        props = face_properties(g, subset)
+        assert props.component_count == 2
+        assert props.circuit is False
+        assert (props.dim, props.corank) == (5, 2)
+
     def test_tree_facet_independent(self, joined45):
         tree_cls = [
             c for c in enumerate_facet_classes(joined45) if c.corank == 0
@@ -465,15 +484,37 @@ class TestFaceProperties:
 
     def test_dim_is_rank_minus_one_on_facet_subsets(self, joined45):
         # facet points span an affine hull that misses the origin, so their
-        # affine dimension is their rank minus one
+        # affine dimension is their rank minus one; the subgraph's counts
+        # decide the rest
         rng = random.Random(6)
-        sample = n6_sample_graphs()
-        for g in (cycle_graph(5), joined45, sample["k33"], sample["wheel"]):
+        for g in list(exhaustive_corpus(5)) + [joined45]:
             cfg = configuration_from_graph(g)
             for facet in enumerate_all_facets(g):
-                points = facet.points(cfg)
-                subset = rng.sample(points, rng.randint(1, len(points)))
-                assert face_properties(g, subset).dim == integer_rank(subset) - 1
+                indices = rng.sample(
+                    facet.point_indices, rng.randint(1, len(facet.point_indices))
+                )
+                subset = [cfg.points[i] for i in indices]
+                edges = [g.edges[i >> 1] for i in indices]
+                degree = Counter(v for e in edges for v in e)
+                components = component_count(edges)
+                props = face_properties(g, subset)
+                assert props.dim == fraction_rank(subset) - 1
+                assert props.component_count == components
+                assert props.independent == (
+                    len(edges) == len(degree) - components
+                )
+                assert props.circuit == (
+                    components == 1 and set(degree.values()) == {2}
+                )
+
+    @pytest.mark.parametrize(
+        "point",
+        [(1, 1, -1), (1,), (2, 0, 0)],
+        ids=["second_plus_one", "too_short", "entry_two"],
+    )
+    def test_malformed_point_rejected(self, point):
+        with pytest.raises(ValidationError):
+            face_properties(complete_graph(4), [point])
 
     def test_matches_graph_formulas(self, joined45):
         for facet in enumerate_all_facets(joined45):

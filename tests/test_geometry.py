@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from adjpoly import (
     NotAFacet,
     TooLarge,
     ZeroNormal,
-    affine_dimension,
     brute_force_facets,
     configuration_from_graph,
     enumerate_all_facets,
@@ -35,6 +35,11 @@ from conftest import (
     two_color,
     unpruned_brute_force_facets,
 )
+
+
+def _is_edge_vector(row) -> bool:
+    """Zero, a lone +-1, or one +1 and one -1."""
+    return sorted(x for x in row if x) in ([], [1], [-1], [-1, 1])
 
 
 class TestConfiguration:
@@ -78,7 +83,9 @@ class TestConfiguration:
     def test_full_dimensional(self):
         for g in exhaustive_corpus(4):
             cfg = configuration_from_graph(g)
-            assert affine_dimension(cfg.points) == cfg.dim
+            base = cfg.points[0]
+            diffs = [[a - b for a, b in zip(p, base)] for p in cfg.points[1:]]
+            assert fraction_rank(diffs) == cfg.dim
 
 
 class TestIntegerRank:
@@ -90,16 +97,18 @@ class TestIntegerRank:
         cycle = [edge_point(5, i, i % 6 + 1) for i in range(1, 7)]
         assert integer_rank(cycle) == 5
 
-    def test_matches_fraction_oracle(self):
+    def test_non_edge_matrices_raise(self):
         rng = random.Random(61)
-        deficient = 0
+        raised = 0
         for _ in range(1500):
-            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-            matrix = random_integer_matrix(rng, rows, cols)
-            rank = fraction_rank(matrix)
-            assert integer_rank(matrix) == rank, matrix
-            deficient += rank < min(rows, cols)
-        assert deficient > 100
+            matrix = random_integer_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+            if all(_is_edge_vector(row) for row in matrix):
+                assert integer_rank(matrix) == fraction_rank(matrix), matrix
+            else:
+                with pytest.raises(ValueError, match="not a signed edge vector"):
+                    integer_rank(matrix)
+                raised += 1
+        assert raised > 1000
 
     def test_edge_vectors_match_fraction_oracle(self):
         rng = random.Random(63)
@@ -108,7 +117,6 @@ class TestIntegerRank:
             cols = rng.randint(1, 10)
             matrix = random_edge_vectors(rng, rng.randint(1, 12), cols)
             rank = fraction_rank(matrix)
-            assert linalg._edge_rank(matrix) == rank, matrix
             assert integer_rank(matrix) == rank, matrix
             ranks["full" if rank == min(len(matrix), cols) else "deficient"] += 1
         assert min(ranks.values()) > 300
@@ -124,9 +132,10 @@ class TestIntegerRank:
             [(1, -1, 0), (0, 0, 0), (-1, 2, -1)],
         ],
     )
-    def test_near_misses_take_bareiss(self, rows):
-        assert linalg._edge_rank(rows) is None
-        assert integer_rank(rows) == fraction_rank(rows)
+    def test_near_misses_raise(self, rows):
+        bad = next(row for row in rows if not _is_edge_vector(row))
+        with pytest.raises(ValueError, match=re.escape(f"row {bad} is not")):
+            integer_rank(rows)
 
 
 class TestSolveNegOnes:
@@ -249,23 +258,6 @@ class TestVerifyFacet:
             assert len(facets) == len(brute_force_facets(cfg))
             for facet in facets:
                 assert verify_facet(cfg, facet.normal.coeffs) == facet
-
-
-class TestAffineDimension:
-    def test_single_point(self):
-        assert affine_dimension([(3, 1)]) == 0
-
-    def test_opposite_pair(self):
-        assert affine_dimension([(1, 0), (-1, 0)]) == 1
-
-    def test_c4_facet_points(self):
-        cfg = configuration_from_graph(cycle_graph(4))
-        facet = verify_facet(cfg, (-1, 0, -1))
-        assert affine_dimension(facet.points(cfg)) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            affine_dimension([])
 
 
 class TestBruteForceOracle:

@@ -2,6 +2,7 @@
 fundamental-cycle and cyclomatic-number oracles."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -86,6 +87,18 @@ class TestParseEdgeList:
     def test_missing_label_means_isolated_vertex(self):
         with pytest.raises(ValidationError):
             parse_edge_list("1 3")
+
+    def test_far_off_label_rejected_before_allocating(self):
+        # two edges cannot connect 10^6 vertices, so no per-vertex table
+        # may be built to find that out
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="not connected"):
+                parse_edge_list("1 2\n1 1000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_empty_input(self):
         with pytest.raises(ValidationError):
