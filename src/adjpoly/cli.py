@@ -30,6 +30,9 @@ EXIT_INPUT = 1
 EXIT_GUARD = 2
 EXIT_INTERNAL = 3
 
+# the counts then stay under Python's 4,300-digit limit for printing an int
+JOINED_CYCLES_MAX_SUM = 7000
+
 
 @dataclasses.dataclass(frozen=True)
 class CommandResult:
@@ -228,6 +231,12 @@ def _cmd_simplicial(args) -> tuple[int, str]:
 
 
 def _cmd_joined_cycles(args) -> tuple[int, str]:
+    if args.m1 + args.m2 > JOINED_CYCLES_MAX_SUM:
+        raise TooLarge(
+            f"joined-cycles guard: m1 + m2 = {args.m1 + args.m2} "
+            f"(bound {JOINED_CYCLES_MAX_SUM}); the counts would need "
+            f"C({2 * args.m1 - 1}, {args.m1}) * C({2 * args.m2}, {args.m2})"
+        )
     counts = counting.joined_cycles_count(args.m1, args.m2)
     return (
         EXIT_OK,
@@ -268,7 +277,10 @@ def _cmd_kuramoto_support(args) -> tuple[int, str]:
         )
         text = kuramoto.support_file_text(support, lifts=lifts, coefficients=coeffs)
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise AdjPolyError(f"cannot write {args.out}: {exc}") from None
         return EXIT_OK, ""
     return EXIT_OK, text
 

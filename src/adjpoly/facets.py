@@ -25,7 +25,6 @@ from .geometry import (
     Point,
     PointConfiguration,
     configuration_from_graph,
-    decode_point,
     edge_point,
     verify_facet,
 )
@@ -212,12 +211,13 @@ def face_properties(
 ) -> FaceProperties:
     """Geometric properties of a subset of a facet, read off its subgraph.
 
-    The points' rank is the rank of their edge vectors, which
-    `linalg.integer_rank` counts as |V touched| - k for a subgraph in k
-    components.  Then dim is rank - 1, corank is |points| - rank,
-    independence means the subgraph is a forest (|edges| = rank), and
-    circuit means it is one component with every degree 2, a chordless
-    cycle.  A point of the wrong length or that is not a signed edge
+    Each point is read as the directed edge (u + 1, v + 1) of its
+    `linalg.edge_ends` (u, v), so node 0 is vertex 1.  The points' rank
+    is the rank of their edge vectors, which `linalg.integer_rank` counts
+    as |V touched| - k for a subgraph in k components.  Then dim is
+    rank - 1, corank is |points| - rank, independence means the subgraph
+    is a forest (|edges| = rank), and circuit means it is one component
+    with every degree 2, a chordless cycle.  A point of the wrong length or that is not a signed edge
     vector, a repeated point, or points that lie on no common face (such
     as a point and its negative) raise ValidationError.
     """
@@ -229,9 +229,12 @@ def face_properties(
             if len(p) != g.n:
                 raise ValidationError(f"point {p} has length {len(p)}, expected {g.n}")
             try:
-                directed.append(decode_point(p))
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from None
+                u, v = linalg.edge_ends(p)
+            except ValueError:
+                u = v = 0
+            if u == v:
+                raise ValidationError(f"{p} is not a signed edge vector")
+            directed.append((u + 1, v + 1))
     if not directed:
         raise EmptySubset("point subset is empty")
 

@@ -34,25 +34,6 @@ def edge_point(n: int, tail: int, head: int) -> Point:
     return tuple(coords)
 
 
-def decode_point(point: Point) -> DirectedEdge:
-    """Inverse of edge_point on valid configuration points.
-
-    Any other vector, such as one with a second +1 or a second -1,
-    raises ValueError.
-    """
-    tail = head = 1
-    for idx, value in enumerate(point):
-        if value == 1 and tail == 1:
-            tail = idx + 2
-        elif value == -1 and head == 1:
-            head = idx + 2
-        elif value != 0:
-            raise ValueError(f"{point} is not a signed edge vector")
-    if tail == head:
-        raise ValueError(f"{point} is not a signed edge vector")
-    return (tail, head)
-
-
 class PointConfiguration:
     """The 2m signed edge vectors of a graph, in deterministic order.
 
@@ -195,11 +176,13 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
 
     For every n-subset of points that spans a hyperplane avoiding the
     origin, solves <x, a> = -1 exactly and accepts the hyperplane iff the
-    whole configuration lies on the far side.  A solution a = nums / den
-    is read as vertex potentials, as in verify_facet, so the point of
-    (t, h) takes (nums_t - nums_h) / den.  Output is deduplicated by
-    primitive normal and sorted lexicographically by it.  Edge sets of
-    rank < n are skipped before their 2^n orientations are solved.
+    whole configuration lies on the far side.  The points' edges then form
+    a spanning tree, and `linalg.solve_neg_ones` walks it to integer
+    vertex potentials a, as in verify_facet, so the point of (t, h) takes
+    a_t - a_h.  The tree edge at vertex 1 gives a an entry +-1, so a is
+    primitive.  Output is deduplicated by normal and sorted
+    lexicographically by it.  Edge sets of rank < n are skipped before
+    their 2^n orientations are solved.
     """
     n = cfg.dim
     m = cfg.graph.m
@@ -217,11 +200,10 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
             continue
         for signs in itertools.product((0, 1), repeat=n):
             subset = [2 * e + s for e, s in zip(edge_combo, signs)]
-            solved = linalg.solve_neg_ones([cfg.points[i] for i in subset])
-            if solved is None:
+            nums = linalg.solve_neg_ones([cfg.points[i] for i in subset])
+            if nums is None:
                 continue
-            nums, den = solved
             pot = (0, 0) + nums
-            if all(pot[t] - pot[h] >= -den for t, h in cfg.directed_edges):
-                found.add(linalg.primitive(nums))
+            if all(pot[t] - pot[h] >= -1 for t, h in cfg.directed_edges):
+                found.add(nums)
     return [verify_facet(cfg, key) for key in sorted(found)]

@@ -179,12 +179,11 @@ def unpruned_brute_force_facets(cfg: PointConfiguration):
     for edge_combo in itertools.combinations(range(cfg.graph.m), n):
         for signs in itertools.product((0, 1), repeat=n):
             subset = [2 * e + s for e, s in zip(edge_combo, signs)]
-            solved = solve_neg_ones([cfg.points[i] for i in subset])
-            if solved is None:
+            nums = solve_neg_ones([cfg.points[i] for i in subset])
+            if nums is None:
                 continue
-            nums, den = solved
             if all(
-                sum(x * a for x, a in zip(point, nums)) >= -den
+                sum(x * a for x, a in zip(point, nums)) >= -1
                 for point in cfg.points
             ):
                 found.add(primitive(nums))

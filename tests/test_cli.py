@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,18 @@ class TestJoinedCycles:
         result = run(["joined-cycles", "1", "1"])
         assert result.exit_code == 1
 
+    def test_at_bound(self):
+        assert run(["joined-cycles", "3500", "3500"]).exit_code == 0
+
+    @pytest.mark.parametrize("m2", ["6999", "1000000000"])
+    def test_over_bound_exits_before_counting(self, m2):
+        start = time.perf_counter()
+        result = run(["joined-cycles", "2", m2])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"m1 + m2 = {2 + int(m2)} (bound 7000)" in result.stderr
+
 
 class TestKuramotoSupport:
     def test_unmixed_with_lift(self, c4_file):
@@ -194,6 +207,13 @@ class TestKuramotoSupport:
         assert result.exit_code == 0
         assert result.stdout == ""
         assert target.read_text() == run(["kuramoto-support", c4_file]).stdout
+
+    def test_out_unwritable(self, c4_file, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        result = run(["kuramoto-support", c4_file, "--out", str(target)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot write {target}: ")
 
     def test_seed_deterministic(self, c4_file):
         first = run(["kuramoto-support", c4_file, "--seed", "42"])

@@ -444,7 +444,7 @@ class TestFaceProperties:
     def test_repeated_point_rejected(self):
         g = cycle_graph(4)
         cfg = configuration_from_graph(g)
-        with pytest.raises(ValidationError, match="repeated"):
+        with pytest.raises(ValidationError, match=r"repeated point of edge \(1, 2\)"):
             face_properties(g, [cfg.points[0], cfg.points[0]])
 
     def test_directed_triangle_rejected(self):
@@ -508,12 +508,17 @@ class TestFaceProperties:
                 )
 
     @pytest.mark.parametrize(
-        "point",
-        [(1, 1, -1), (1,), (2, 0, 0)],
-        ids=["second_plus_one", "too_short", "entry_two"],
+        "point, message",
+        [
+            ((1, 1, -1), "not a signed edge vector"),
+            ((1,), "has length 1"),
+            ((2, 0, 0), "not a signed edge vector"),
+            ((0, 0, 0), "not a signed edge vector"),
+        ],
+        ids=["second_plus_one", "too_short", "entry_two", "zero"],
     )
-    def test_malformed_point_rejected(self, point):
-        with pytest.raises(ValidationError):
+    def test_malformed_point_rejected(self, point, message):
+        with pytest.raises(ValidationError, match=message):
             face_properties(complete_graph(4), [point])
 
     def test_matches_graph_formulas(self, joined45):

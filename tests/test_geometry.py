@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from adjpoly import (
+    Graph,
     InnerNormal,
     InternalInconsistency,
     NotAFacet,
@@ -21,14 +22,16 @@ from adjpoly import (
 )
 from adjpoly import geometry, linalg
 from adjpoly.counting import cycle_graph
-from adjpoly.geometry import decode_point, edge_point
-from adjpoly.linalg import integer_rank, solve_neg_ones
+from adjpoly.geometry import edge_point
+from adjpoly.linalg import edge_ends, integer_rank, solve_neg_ones
 
 from conftest import (
+    complete_graph,
     exhaustive_corpus,
     fraction_rank,
     fraction_solve_neg_ones,
     n6_sample_graphs,
+    path_graph,
     random_edge_vectors,
     random_integer_matrix,
     spanning_tree_count,
@@ -76,9 +79,9 @@ class TestConfiguration:
     def test_point_edge_round_trip(self):
         for g in exhaustive_corpus(4):
             cfg = configuration_from_graph(g)
-            for point, edge in zip(cfg.points, cfg.directed_edges):
-                assert decode_point(point) == edge
-                assert edge_point(cfg.dim, *edge) == point
+            for point, (t, h) in zip(cfg.points, cfg.directed_edges):
+                assert edge_ends(point) == (t - 1, h - 1)
+                assert edge_point(cfg.dim, t, h) == point
 
     def test_full_dimensional(self):
         for g in exhaustive_corpus(4):
@@ -137,18 +140,33 @@ class TestIntegerRank:
         with pytest.raises(ValueError, match=re.escape(f"row {bad} is not")):
             integer_rank(rows)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, -1), (0, 0, 1)],  # a longer row after the first
+            [(1,), (0, 1)],
+            [(0, 0), (0, 0, 1, -1)],  # a zero first row
+        ],
+    )
+    def test_ragged_rows_raise(self, rows):
+        with pytest.raises(ValueError, match=re.escape(f"row {rows[1]} has length")):
+            integer_rank(rows)
+
 
 class TestSolveNegOnes:
     @pytest.mark.parametrize(
         "rows, expected",
         [
-            ([[2]], ((-1,), 2)),  # non-unit pivot
-            ([[0, 1], [1, 0]], ((-1, -1), 1)),  # row swap, determinant -1
-            ([[2, 1], [1, -1]], ((-2, 1), 3)),  # determinant -3
-            ([[-3, 0], [0, 2]], ((2, -3), 6)),
-            ([[1, 2], [0, 0]], None),  # zero row
-            ([[1, 2], [2, 4]], None),
-            ([], ((), 1)),
+            ([[1]], (-1,)),
+            ([[-1]], (1,)),
+            ([[0, 1], [1, -1]], (-2, -1)),  # a walk through node 2
+            ([[1, 0, 0], [-1, 1, 0], [0, -1, 1]], (-1, -2, -3)),  # a path
+            ([[1, 0], [0, -1]], (-1, 1)),  # a star at node 0
+            ([[1, 0], [0, 0]], None),  # zero row
+            ([[1, -1], [1, -1]], None),  # repeated row
+            ([[1, -1], [-1, 1]], None),  # negated row
+            ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], None),  # a cycle off node 0
+            ([], ()),
         ],
     )
     def test_examples(self, rows, expected):
@@ -159,18 +177,30 @@ class TestSolveNegOnes:
         verdicts = {True: 0, False: 0}
         for _ in range(1500):
             n = rng.randint(1, 8)
-            matrix = random_integer_matrix(rng, n, n)
+            matrix = random_edge_vectors(rng, n, n)
             expected = fraction_solve_neg_ones(matrix)
             solved = solve_neg_ones(matrix)
             verdicts[expected is None] += 1
             if expected is None:
                 assert solved is None, matrix
-                continue
-            nums, den = solved
-            assert den > 0
-            assert math.gcd(den, *nums) == 1
-            assert tuple(Fraction(x, den) for x in nums) == expected, matrix
+            else:
+                assert all(type(x) is int for x in solved), matrix
+                assert solved == expected, matrix
         assert min(verdicts.values()) > 100
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[2]], "not a signed edge vector"),
+            ([[1, 1], [0, 1]], "not a signed edge vector"),
+            ([[1, -1], [1, 0, -1]], "has length 3, expected 2"),
+            ([[1, 0]], "has length 2, expected 1"),  # not square
+            ([[1], [-1]], "has length 1, expected 2"),
+        ],
+    )
+    def test_non_edge_or_non_square_raise(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            solve_neg_ones(rows)
 
     def test_no_fraction_arithmetic(self):
         assert not hasattr(linalg, "Fraction")
@@ -273,6 +303,27 @@ class TestBruteForceOracle:
     def test_joined_cycles_108(self, joined45):
         cfg = configuration_from_graph(joined45)
         assert len(brute_force_facets(cfg)) == 108
+
+    @pytest.mark.parametrize(
+        "g, count",
+        [
+            pytest.param(cycle_graph(2 * k), math.comb(2 * k, k), id=f"C{2 * k}")
+            for k in range(2, 5)
+        ]
+        + [
+            pytest.param(
+                cycle_graph(2 * k + 1),
+                (2 * k + 1) * math.comb(2 * k, k),
+                id=f"C{2 * k + 1}",
+            )
+            for k in range(1, 5)
+        ]
+        + [pytest.param(complete_graph(n), 2**n - 2, id=f"K{n}") for n in range(2, 7)]
+        + [pytest.param(path_graph(n), 2 ** (n - 1), id=f"P{n}") for n in range(2, 10)]
+        + [pytest.param(Graph(9, [(1, v) for v in range(2, 10)]), 2**8, id="K1,8")],
+    )
+    def test_closed_form_counts(self, g, count):
+        assert len(brute_force_facets(configuration_from_graph(g))) == count
 
     def test_guard_rail(self):
         big = cycle_graph(10)
