@@ -217,8 +217,9 @@ def _cmd_bipartite(args) -> tuple[int, str]:
 def _cmd_oracle_check(args) -> tuple[int, str]:
     g = _load_graph(args.file)
     cfg = geometry.configuration_from_graph(g)
-    fast = {f.normal.coeffs for f in facets_mod.enumerate_all_facets(g)}
+    # the oracle's guard is the tighter one: check it before enumerating
     oracle = {f.normal.coeffs for f in geometry.brute_force_facets(cfg)}
+    fast = {f.normal.coeffs for f in facets_mod.enumerate_all_facets(g)}
     if fast == oracle:
         return EXIT_OK, f"{len(fast)} == {len(oracle)}\n"
     return EXIT_INTERNAL, f"{len(fast)} != {len(oracle)}\n"

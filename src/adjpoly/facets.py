@@ -25,7 +25,7 @@ from .geometry import (
     Point,
     PointConfiguration,
     configuration_from_graph,
-    edge_point,
+    edge_ends,
     verify_facet,
 )
 from .graphs import (
@@ -40,6 +40,8 @@ from .graphs import (
 SignVector = tuple[int, ...]
 
 SIGN_SEARCH_MAX_DIM = 30
+# above every facet count in the tests and the benchmark (J(4,5): 123,480)
+ENUMERATION_MAX_FACETS = 1 << 18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,7 +124,7 @@ def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]
     Depth-first over the steps: d_k fixes the potential of step k's
     vertex, and its checks against earlier vertices are tested at once.
     So a branch is cut at the first edge it violates, and every leaf is a
-    solution.
+    solution.  More than ENUMERATION_MAX_FACETS solutions raise TooLarge.
     """
     n = len(steps)
     if n > SIGN_SEARCH_MAX_DIM:
@@ -137,6 +139,11 @@ def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]
     def extend(k: int) -> None:
         if k == n:
             solutions.append(tuple(d))
+            if len(solutions) > ENUMERATION_MAX_FACETS:
+                raise TooLarge(
+                    f"facet guard: more than {ENUMERATION_MAX_FACETS} sign vectors "
+                    f"for n = {n} tree edges; the search would keep up to 2^{n} of them"
+                )
             return
         step = steps[k]
         for value in (-1, 1):
@@ -172,15 +179,26 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
 
     Classes are ordered by the subgraph enumeration; facets inside a class
     follow sign-vector order.  Distinctness within a class and disjointness
-    across classes hold by construction and are asserted.
+    across classes hold by construction and are asserted.  A class that
+    takes the total past ENUMERATION_MAX_FACETS raises TooLarge before its
+    facets are built.
     """
     cfg = configuration_from_graph(g)
     seen_normals: dict[tuple[int, ...], int] = {}
     classes = []
+    total = 0
     for index, b in enumerate(enumerate_maximal_bipartite_subgraphs(g)):
         steps = build_cycle_system(g, b)
+        sign_vectors = enumerate_sign_vectors(steps)
+        total += len(sign_vectors)
+        if total > ENUMERATION_MAX_FACETS:
+            raise TooLarge(
+                f"facet guard: more than {ENUMERATION_MAX_FACETS} facets for "
+                f"n = {g.n}, m = {g.m}; the enumeration would build up to "
+                f"2^{g.n} in each of up to 2^{g.n} - 1 classes"
+            )
         facets = []
-        for d in enumerate_sign_vectors(steps):
+        for d in sign_vectors:
             facet = _facet_from_sign_vector(cfg, b, steps, d)
             key = facet.normal.coeffs
             if key in seen_normals:
@@ -211,13 +229,13 @@ def face_properties(
 ) -> FaceProperties:
     """Geometric properties of a subset of a facet, read off its subgraph.
 
-    Each point is read as the directed edge (u + 1, v + 1) of its
-    `linalg.edge_ends` (u, v), so node 0 is vertex 1.  The points' rank
-    is the rank of their edge vectors, which `linalg.integer_rank` counts
-    as |V touched| - k for a subgraph in k components.  Then dim is
-    rank - 1, corank is |points| - rank, independence means the subgraph
-    is a forest (|edges| = rank), and circuit means it is one component
-    with every degree 2, a chordless cycle.  A point of the wrong length or that is not a signed edge
+    Each point is read as the directed edge `geometry.edge_ends` decodes.
+    The points' rank is the rank of their edges, which
+    `linalg.integer_rank` counts as |V touched| - k for a subgraph in k
+    components.  Then dim is rank - 1, corank is |points| - rank,
+    independence means the subgraph is a forest (|edges| = rank), and
+    circuit means it is one component with every degree 2, a chordless
+    cycle.  A point of the wrong length or that is not a signed edge
     vector, a repeated point, or points that lie on no common face (such
     as a point and its negative) raise ValidationError.
     """
@@ -229,12 +247,12 @@ def face_properties(
             if len(p) != g.n:
                 raise ValidationError(f"point {p} has length {len(p)}, expected {g.n}")
             try:
-                u, v = linalg.edge_ends(p)
+                t, h = edge_ends(p)
             except ValueError:
-                u = v = 0
-            if u == v:
+                t = h = 1
+            if t == h:
                 raise ValidationError(f"{p} is not a signed edge vector")
-            directed.append((u + 1, v + 1))
+            directed.append((t, h))
     if not directed:
         raise EmptySubset("point subset is empty")
 
@@ -252,7 +270,7 @@ def face_properties(
         g, directed
     ):
         raise ValidationError("the points lie on no common face")
-    rank = linalg.integer_rank([edge_point(g.n, i, j) for i, j in edges])
+    rank = linalg.integer_rank(edges)
     degree = Counter(v for e in edges for v in e)
     component_count = len(degree) - rank
     return FaceProperties(

@@ -2,16 +2,16 @@
 
 The configuration of a graph G on vertices 1..N is the set of vectors
 +-(e_{i-1} - e_{j-1}) in R^(N-1), one pair per edge {i,j}, with e_0 = 0
-(vertex 1's axis is projected out).  All facet decisions are made in
-exact integer/rational arithmetic; no floating point is used anywhere.
+(vertex 1's axis is projected out).  Inside the package a point travels
+as the directed edge it encodes: `edge_point` encodes one for output and
+`edge_ends` decodes one from input.  All facet decisions are made in
+exact integer arithmetic; no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -34,29 +34,38 @@ def edge_point(n: int, tail: int, head: int) -> Point:
     return tuple(coords)
 
 
+def edge_ends(point: Sequence[int]) -> DirectedEdge:
+    """The directed edge (tail, head) a point encodes; `edge_point`'s inverse.
+
+    Column c is vertex c + 2, so a lone +1 gives (t, 1), a lone -1 gives
+    (1, h) and zero gives (1, 1).  A point that is none of these and not
+    one +1 and one -1 raises ValueError naming it.
+    """
+    plus = point.count(1)
+    minus = point.count(-1)
+    if plus > 1 or minus > 1 or plus + minus + point.count(0) != len(point):
+        raise ValueError(f"row {tuple(point)} is not a signed edge vector")
+    return (point.index(1) + 2 if plus else 1, point.index(-1) + 2 if minus else 1)
+
+
 class PointConfiguration:
     """The 2m signed edge vectors of a graph, in deterministic order.
 
-    For each edge {i, j} (i < j) in graph order the point for (i, j) comes
-    first, then the point for (j, i); index 2k+s therefore encodes edge k
-    with orientation s.
+    For each edge {i, j} (i < j) in graph order the directed edge (i, j)
+    comes first, then (j, i); index 2k+s therefore is edge k with
+    orientation s.  The package computes on directed_edges; points, their
+    encodings, are kept for output.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.dim = graph.n
-        points: list[Point] = []
-        directed: list[DirectedEdge] = []
-        for i, j in graph.edges:
-            points.append(edge_point(self.dim, i, j))
-            directed.append((i, j))
-            points.append(edge_point(self.dim, j, i))
-            directed.append((j, i))
-        self.points: tuple[Point, ...] = tuple(points)
-        self.directed_edges: tuple[DirectedEdge, ...] = tuple(directed)
-
-    def __len__(self) -> int:
-        return len(self.points)
+        self.directed_edges: tuple[DirectedEdge, ...] = tuple(
+            e for i, j in graph.edges for e in ((i, j), (j, i))
+        )
+        self.points: tuple[Point, ...] = tuple(
+            edge_point(self.dim, t, h) for t, h in self.directed_edges
+        )
 
 
 def configuration_from_graph(g: Graph) -> PointConfiguration:
@@ -92,25 +101,12 @@ class Facet:
         return tuple(cfg.points[i] for i in self.point_indices)
 
 
-def _as_integer_coeffs(normal: InnerNormal | Sequence) -> tuple[int, ...]:
-    if isinstance(normal, InnerNormal):
-        return normal.coeffs
-    values = tuple(normal)
-    if all(isinstance(v, int) for v in values):
-        return values
-    rationals = [Fraction(v) for v in values]
-    den = 1
-    for v in rationals:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return tuple(int(v * den) for v in rationals)
-
-
-def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence) -> Facet:
+def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence[int]) -> Facet:
     """Check that a normal supports a facet and assemble it.
 
     The normal a is read as vertex potentials with vertex 1 at 0, so the
-    point of (t, h) takes a_t - a_h in O(1); integer normals are used as
-    they are and other entries are cleared of denominators first.  The
+    point of (t, h) takes a_t - a_h in O(1).  It is an InnerNormal or a
+    sequence of integers; any other entry raises ValueError.  The
     minimizer set of <., normal> must be (n-1)-dimensional, else
     ZeroNormal or NotAFacet is raised; with a negative minimum that is
     linear rank n of the tight points, which `linalg.integer_rank` counts
@@ -118,7 +114,9 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence) -> Fac
     of a facet then attains exactly -1 on it and > -1 elsewhere; any other
     minimum raises InternalInconsistency.
     """
-    coeffs = _as_integer_coeffs(normal)
+    coeffs = normal.coeffs if isinstance(normal, InnerNormal) else tuple(normal)
+    if not all(isinstance(c, int) for c in coeffs):
+        raise ValueError(f"normal {coeffs} has an entry that is not an integer")
     if len(coeffs) != cfg.dim:
         raise ValueError(f"normal has length {len(coeffs)}, expected {cfg.dim}")
     if not any(coeffs):
@@ -135,7 +133,7 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence) -> Fac
     min_indices = tuple(i for i, v in enumerate(values) if v == minimum)
     # the minimum is < 0, so the tight points lie on a hyperplane that
     # misses the origin and their affine dimension is their rank - 1
-    if linalg.integer_rank([cfg.points[i] for i in min_indices]) != cfg.dim:
+    if linalg.integer_rank([cfg.directed_edges[i] for i in min_indices]) != cfg.dim:
         raise NotAFacet(
             f"minimizer set has affine dimension != {cfg.dim - 1}"
         )
@@ -196,11 +194,11 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
     for edge_combo in itertools.combinations(range(m), n):
         # a sign flip keeps the rank, so a dependent edge set is singular
         # in all 2^n orientations
-        if linalg.integer_rank([cfg.points[2 * e] for e in edge_combo]) < n:
+        if linalg.integer_rank([cfg.graph.edges[e] for e in edge_combo]) < n:
             continue
         for signs in itertools.product((0, 1), repeat=n):
             subset = [2 * e + s for e, s in zip(edge_combo, signs)]
-            nums = linalg.solve_neg_ones([cfg.points[i] for i in subset])
+            nums = linalg.solve_neg_ones([cfg.directed_edges[i] for i in subset])
             if nums is None:
                 continue
             pot = (0, 0) + nums

@@ -13,10 +13,13 @@ from collections import deque
 from itertools import compress
 from typing import Iterable
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, TooLarge, ValidationError
 
 Edge = tuple[int, int]
 DirectedEdge = tuple[int, int]
+
+# K_19 (262,143 subgraphs) still answers; K_20 would build 524,287
+BIPARTITE_MAX_SUBGRAPHS = 1 << 18
 
 
 class Graph:
@@ -184,7 +187,8 @@ def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph
     branch that reaches the last vertex with one component is one.  The
     cost is therefore output-sensitive, not 2^(N-1): a path or an even
     cycle takes O(N) search nodes and an odd cycle O(N) per subgraph,
-    while K_N still yields all 2^(N-1) - 1 subgraphs.  Results are sorted
+    while K_N still yields all 2^(N-1) - 1 subgraphs.  More than
+    BIPARTITE_MAX_SUBGRAPHS of them raise TooLarge.  Results are sorted
     by the plus-side bitmask, which is the order of a plain scan over all
     bipartitions.
     """
@@ -238,6 +242,13 @@ def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph
             if i == last:
                 if len(child) == 1:
                     found.append((child_plus, child_cut))
+                    if len(found) > BIPARTITE_MAX_SUBGRAPHS:
+                        raise TooLarge(
+                            f"bipartite guard: more than {BIPARTITE_MAX_SUBGRAPHS} "
+                            f"maximal bipartite subgraphs for N = {n_vert}, "
+                            f"m = {g.m}; the search would build up to "
+                            f"2^{last} - 1 subgraphs"
+                        )
                 continue
             child = [c & staying[i] for c in child]
             if not all(child):

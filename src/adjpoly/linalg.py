@@ -1,56 +1,30 @@
-"""Exact integer linear algebra for signed edge vectors.
+"""Exact integer linear algebra for signed edge vectors, taken as edges.
 
 Every configuration point is a signed edge vector, a column of a signed
-incidence matrix, so a set of points is a set of edges.  Their rank is
-counted by union-find (the graphic matroid), and a square system is
-solved by walking its edges, which form a spanning tree exactly when it
-is nonsingular.  Only integers are used; no Fractions or floating point.
+incidence matrix, so this module takes a set of points as their (t, h)
+vertex pairs.  Their rank is counted by union-find (the graphic matroid),
+and a square system is solved by walking its edges, which form a spanning
+tree exactly when it is nonsingular.  Only integers are used.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
+from typing import Collection, Sequence
 
 
-def edge_ends(row: Sequence[int]) -> tuple[int, int]:
-    """The nodes (u, v) of a signed edge vector's +1 and -1.
+def integer_rank(edges: Collection[tuple[int, int]]) -> int:
+    """Rank over the rationals of the signed edge vectors of edges.
 
-    Column c is node c + 1 and node 0 stands for the projected-out vertex
-    1, so a lone +1 gives (u, 0) and a lone -1 gives (0, v).  A zero row
-    gives (0, 0); any row other than zero, a lone +-1, or one +1 and one
-    -1 raises ValueError naming the row.
+    Each (u, v) is a pair of vertex labels (non-negative integers).  Edge
+    vectors form a graphic matroid, so the rank is the number of edges
+    that join two union-find components, whatever their orientation or
+    repeats, in time linear in the edges; a loop (u, u), the zero vector,
+    adds nothing.
     """
-    plus = row.count(1)
-    minus = row.count(-1)
-    if plus > 1 or minus > 1 or plus + minus + row.count(0) != len(row):
-        raise ValueError(f"row {tuple(row)} is not a signed edge vector")
-    return (row.index(1) + 1 if plus else 0, row.index(-1) + 1 if minus else 0)
-
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of signed edge vectors, by union-find.
-
-    Every row must have the first row's length and pass `edge_ends`, else
-    ValueError is raised.  A row joins the nodes of its +1 and its -1;
-    edge vectors form a graphic matroid, so the rank is the number of rows
-    that join two components, whatever their signs or repeats, in time
-    linear in the entries.
-    """
-    width = len(rows[0]) if rows else 0
-    parent = list(range(width + 1))
+    parent = list(range(max(map(max, edges), default=0) + 1))
     rank = 0
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row {tuple(row)} has length {len(row)}, expected {width}")
-        # edge_ends inlined: certification runs this once per tight point,
-        # and a call per row measurably slows `count` and `facets`
-        plus = row.count(1)
-        minus = row.count(-1)
-        if plus > 1 or minus > 1 or plus + minus + row.count(0) != width:
-            raise ValueError(f"row {tuple(row)} is not a signed edge vector")
-        u = row.index(1) + 1 if plus else 0
-        v = row.index(-1) + 1 if minus else 0
+    for u, v in edges:
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -61,27 +35,23 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def solve_neg_ones(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    """Solve X a = (-1, ..., -1) for a square matrix X of signed edge vectors.
+def solve_neg_ones(directed_edges: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
+    """Potentials a with a_1 = 0 and a_t - a_h = -1 on n edges (t, h).
 
-    Row (u, v) = `edge_ends(row)` asks a_u - a_v = -1, with a_0 = 0.  The
-    n rows are independent exactly when their edges form a spanning tree
-    on nodes 0..n; then the walk from node 0 along them fixes every a_v,
-    and the solution is integral and unique.  Returns a[1:], or None when
-    a node is left unreached, that is, when X is singular.  A row of
-    length other than len(rows), or that is not a signed edge vector,
-    raises ValueError.
+    The edges lie on vertices 1..n+1 and are the rows of a square system
+    X a = (-1, ..., -1) in a_2, ..., a_{n+1}.  They are independent
+    exactly when they form a spanning tree; then the walk from vertex 1
+    along them fixes every a_v, and the solution is integral and unique.
+    Returns (a_2, ..., a_{n+1}), or None when a vertex is left unreached,
+    that is, when X is singular.
     """
-    n = len(rows)
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for row in rows:
-        if len(row) != n:
-            raise ValueError(f"row {tuple(row)} has length {len(row)}, expected {n}")
-        u, v = edge_ends(row)
-        adjacency[u].append((v, 1))
-        adjacency[v].append((u, -1))
-    a: list[int | None] = [0] + [None] * n
-    stack = [0]
+    n = len(directed_edges)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n + 2)]
+    for t, h in directed_edges:
+        adjacency[t].append((h, 1))
+        adjacency[h].append((t, -1))
+    a: list[int | None] = [0, 0] + [None] * n  # a[0] pads vertex labels
+    stack = [1]
     while stack:
         u = stack.pop()
         for w, step in adjacency[u]:
@@ -90,7 +60,7 @@ def solve_neg_ones(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
                 stack.append(w)
     if None in a:
         return None
-    return tuple(a[1:])
+    return tuple(a[2:])
 
 
 def primitive(vector: Sequence[int]) -> tuple[int, ...]:

@@ -179,7 +179,7 @@ def unpruned_brute_force_facets(cfg: PointConfiguration):
     for edge_combo in itertools.combinations(range(cfg.graph.m), n):
         for signs in itertools.product((0, 1), repeat=n):
             subset = [2 * e + s for e, s in zip(edge_combo, signs)]
-            nums = solve_neg_ones([cfg.points[i] for i in subset])
+            nums = solve_neg_ones([cfg.directed_edges[i] for i in subset])
             if nums is None:
                 continue
             if all(
@@ -388,25 +388,24 @@ def random_integer_matrix(rng: random.Random, rows: int, cols: int) -> list[list
     return matrix
 
 
-def random_edge_vectors(rng: random.Random, rows: int, cols: int) -> list[tuple[int, ...]]:
-    """Signed edge vectors: zero rows, a lone +-1, one +1 and one -1, and
-    repeated or negated earlier rows."""
-    matrix: list[tuple[int, ...]] = []
-    for _ in range(rows):
+def random_edges(rng: random.Random, count: int, n: int) -> list[tuple[int, int]]:
+    """Directed edges (t, h) on vertices 1..n+1, whose points lie in R^n:
+    loops (the zero vector), edges at vertex 1 (a lone +-1), other edges,
+    and repeated or reversed earlier edges."""
+    edges: list[tuple[int, int]] = []
+    for _ in range(count):
         kind = rng.randrange(6)
-        if matrix and kind == 0:
-            matrix.append(rng.choice(matrix))
-        elif matrix and kind == 1:
-            matrix.append(tuple(-x for x in rng.choice(matrix)))
+        if edges and kind == 0:
+            edges.append(rng.choice(edges))
+        elif edges and kind == 1:
+            edges.append(rng.choice(edges)[::-1])
+        elif kind == 2:
+            v = rng.randint(1, n + 1)
+            edges.append((v, v))
         else:
-            row = [0] * cols
-            if kind != 2:
-                ends = rng.sample(range(cols + 1), 2)
-                for end, sign in zip(ends, (1, -1)):
-                    if end < cols:  # end == cols is the projected-out vertex
-                        row[end] = sign
-            matrix.append(tuple(row))
-    return matrix
+            t, h = rng.sample(range(1, n + 2), 2)
+            edges.append((t, h))
+    return edges
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,19 @@ from pathlib import Path
 import pytest
 
 import adjpoly
+from adjpoly import graphs
 from adjpoly.cli import run
+
+
+def _adjpoly(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(adjpoly.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "adjpoly", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=env,
+    )
 
 
 @pytest.fixture()
@@ -91,6 +103,14 @@ class TestBipartiteAndSimplicial:
         tri.write_text("1 2\n2 3\n1 3\n")
         assert run(["simplicial", str(tri)]).stdout == "simplicial yes\n"
 
+    def test_simplicial_trips_subgraph_guard(self, tmp_path, monkeypatch):
+        k5 = tmp_path / "k5.txt"
+        k5.write_text("".join(f"{u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6)))
+        monkeypatch.setattr(graphs, "BIPARTITE_MAX_SUBGRAPHS", 14)
+        result = run(["simplicial", str(k5)])
+        assert result.exit_code == 2
+        assert "bipartite guard: more than 14" in result.stderr
+
 
 class TestLongPath:
     """A 40-vertex path: 2^39 bipartitions, one maximal bipartite subgraph."""
@@ -101,30 +121,19 @@ class TestLongPath:
         path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 40)))
         return str(path)
 
-    @staticmethod
-    def _adjpoly(*argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(adjpoly.__file__).parents[1]))
-        return subprocess.run(
-            [sys.executable, "-m", "adjpoly", *argv],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            env=env,
-        )
-
     def test_bipartite(self, path40_file):
-        result = self._adjpoly("bipartite", path40_file)
+        result = _adjpoly("bipartite", path40_file)
         assert result.returncode == 0
         assert result.stdout.startswith("maximal bipartite subgraphs: 1\n")
         assert result.stdout.count("subgraph ") == 1
 
     def test_simplicial(self, path40_file):
-        result = self._adjpoly("simplicial", path40_file)
+        result = _adjpoly("simplicial", path40_file)
         assert result.returncode == 0
         assert result.stdout == "simplicial yes\n"
 
     def test_count_trips_sign_search_guard(self, path40_file):
-        result = self._adjpoly("count", path40_file)
+        result = _adjpoly("count", path40_file)
         assert result.returncode == 2
         assert "sign search guard: n = 39 > 30" in result.stderr
         assert "up to 2^39 sign vectors" in result.stderr
@@ -142,6 +151,31 @@ class TestOracleCheck:
         assert "guard" in result.stderr
         assert "dim 9 (bound 8)" in result.stderr
         assert "C(10, 9) * 2^9 solves" in result.stderr
+
+
+class TestPath31:
+    """A 31-vertex path: n = 30 passes the sign-search guard, and its one
+    class has 2^30 facets."""
+
+    @pytest.fixture()
+    def path31_file(self, tmp_path):
+        path = tmp_path / "path31.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 31)))
+        return str(path)
+
+    def test_oracle_check_trips_its_guard_first(self, path31_file):
+        result = _adjpoly("oracle-check", path31_file)
+        assert result.returncode == 2
+        assert result.stderr == (
+            "guard exceeded: oracle guard: dim 30 (bound 8), 60 points (bound 40); "
+            "the search would need C(30, 30) * 2^30 solves\n"
+        )
+
+    @pytest.mark.parametrize("command", ["count", "facets"])
+    def test_enumeration_trips_facet_guard(self, path31_file, command):
+        result = _adjpoly(command, path31_file)
+        assert result.returncode == 2
+        assert "facet guard: more than 262144 sign vectors for n = 30" in result.stderr
 
 
 class TestJoinedCycles:
@@ -265,7 +299,7 @@ class TestErrorsAndFlags:
 
     def test_help_on_command_line_unchanged(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        result = TestLongPath._adjpoly("--help")
+        result = _adjpoly("--help")
         assert result.returncode == 0
         assert result.stdout == run(["--help"]).stdout
         assert result.stderr == ""

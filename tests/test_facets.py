@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from adjpoly import facets as facets_mod
 from adjpoly import (
     EmptySubset,
     Facet,
@@ -305,6 +306,19 @@ class TestEnumerateSignVectors:
         with pytest.raises(TooLarge, match=r"n = 20000 > 30 .* up to 2\^20000 sign"):
             enumerate_sign_vectors(steps)
 
+    def test_facet_bound(self, monkeypatch):
+        # a tree has one class, of all 2^n sign vectors
+        g = path_graph(6)
+        (b,) = enumerate_maximal_bipartite_subgraphs(g)
+        steps = build_cycle_system(g, b)
+        monkeypatch.setattr(facets_mod, "ENUMERATION_MAX_FACETS", 32)
+        assert len(enumerate_sign_vectors(steps)) == 32
+        monkeypatch.setattr(facets_mod, "ENUMERATION_MAX_FACETS", 31)
+        with pytest.raises(
+            TooLarge, match=r"more than 31 sign vectors for n = 5 .* up to 2\^5 of"
+        ):
+            enumerate_sign_vectors(steps)
+
 
 class TestFacetFromSignVector:
     def test_c4_bijection_with_oracle(self):
@@ -376,6 +390,26 @@ class TestEnumerateAllFacets:
         facets = enumerate_all_facets(joined45)
         normals = [f.normal.coeffs for f in facets]
         assert len(set(normals)) == len(normals)
+
+    def test_facet_bound_before_building(self, monkeypatch):
+        # C5: five classes of 6 facets each; the fourth takes the total
+        # past 20, so only the first three are certified
+        g = cycle_graph(5)
+        monkeypatch.setattr(facets_mod, "ENUMERATION_MAX_FACETS", 30)
+        assert len(enumerate_all_facets(g)) == 30
+        verified = 0
+        verify = facets_mod.verify_facet
+
+        def counted(*args):
+            nonlocal verified
+            verified += 1
+            return verify(*args)
+
+        monkeypatch.setattr(facets_mod, "verify_facet", counted)
+        monkeypatch.setattr(facets_mod, "ENUMERATION_MAX_FACETS", 20)
+        with pytest.raises(TooLarge, match=r"more than 20 facets for n = 4, m = 5"):
+            enumerate_facet_classes(g)
+        assert verified == 18
 
     def test_class_bounds(self):
         for g in list(exhaustive_corpus(5)) + list(n6_sample_graphs().values()):

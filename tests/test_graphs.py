@@ -6,9 +6,11 @@ import tracemalloc
 
 import pytest
 
+from adjpoly import graphs
 from adjpoly import (
     Graph,
     ParseError,
+    TooLarge,
     ValidationError,
     enumerate_maximal_bipartite_subgraphs,
     has_even_cycle,
@@ -172,6 +174,17 @@ class TestMaximalBipartiteSubgraphs:
         subs = enumerate_maximal_bipartite_subgraphs(g)
         assert len(subs) == 1
         assert subs[0].edges == g.edges
+
+    def test_subgraph_bound(self, monkeypatch):
+        # K_5 has 2^4 - 1 = 15 maximal bipartite subgraphs
+        g = complete_graph(5)
+        monkeypatch.setattr(graphs, "BIPARTITE_MAX_SUBGRAPHS", 15)
+        assert len(enumerate_maximal_bipartite_subgraphs(g)) == 15
+        monkeypatch.setattr(graphs, "BIPARTITE_MAX_SUBGRAPHS", 14)
+        with pytest.raises(
+            TooLarge, match=r"more than 14 .* N = 5, m = 10; .* up to 2\^4 - 1 subgraphs"
+        ):
+            enumerate_maximal_bipartite_subgraphs(g)
 
     def test_maximality_by_perturbation(self, joined45):
         for b in enumerate_maximal_bipartite_subgraphs(joined45):
