@@ -232,7 +232,8 @@ def _cmd_simplicial(args) -> tuple[int, str]:
 
 
 def _cmd_joined_cycles(args) -> tuple[int, str]:
-    if args.m1 + args.m2 > JOINED_CYCLES_MAX_SUM:
+    # joined_cycles_count rejects out-of-domain input at once: exit 1 at any size
+    if args.m1 >= 2 and args.m2 >= 1 and args.m1 + args.m2 > JOINED_CYCLES_MAX_SUM:
         raise TooLarge(
             f"joined-cycles guard: m1 + m2 = {args.m1 + args.m2} "
             f"(bound {JOINED_CYCLES_MAX_SUM}); the counts would need "

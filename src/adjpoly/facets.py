@@ -121,10 +121,11 @@ def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> tuple[PotentialStep
 def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]:
     """All d in {-1,+1}^n meeting every check, in binary order (-1 before +1).
 
-    Depth-first over the steps: d_k fixes the potential of step k's
-    vertex, and its checks against earlier vertices are tested at once.
-    So a branch is cut at the first edge it violates, and every leaf is a
-    solution.  More than ENUMERATION_MAX_FACETS solutions raise TooLarge.
+    Depth-first over the steps, flattened once into (vertex, parent,
+    sign, checks) tuples: d_k fixes the potential of step k's vertex, and
+    its checks against earlier vertices are tested at once.  So a branch
+    is cut at the first edge it violates, and every leaf is a solution.
+    More than ENUMERATION_MAX_FACETS solutions raise TooLarge.
     """
     n = len(steps)
     if n > SIGN_SEARCH_MAX_DIM:
@@ -132,6 +133,7 @@ def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]
             f"sign search guard: n = {n} > {SIGN_SEARCH_MAX_DIM} tree edges; "
             f"the search would try up to 2^{n} sign vectors"
         )
+    plan = [(s.vertex, s.parent, s.sign, s.checks) for s in steps]
     pot = [0] * (n + 2)  # vertices 1..n+1, vertex 1 at 0
     d = [0] * n
     solutions: list[SignVector] = []
@@ -145,11 +147,14 @@ def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]
                     f"for n = {n} tree edges; the search would keep up to 2^{n} of them"
                 )
             return
-        step = steps[k]
+        vertex, parent, sign, checks = plan[k]
         for value in (-1, 1):
-            f = pot[step.parent] + step.sign * value
-            if all(abs(f - pot[u]) == gap for u, gap in step.checks):
-                pot[step.vertex] = f
+            f = pot[parent] + sign * value
+            for u, gap in checks:
+                if abs(f - pot[u]) != gap:
+                    break
+            else:
+                pot[vertex] = f
                 d[k] = value
                 extend(k + 1)
 
@@ -160,12 +165,13 @@ def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]
 def _facet_from_sign_vector(
     cfg: PointConfiguration,
     b: MaxBipartiteSubgraph,
-    steps: tuple[PotentialStep, ...],
+    plan: list[tuple[int, int, int]],
     d: SignVector,
 ) -> Facet:
+    # plan holds each step's (vertex, parent, sign)
     pot = [0] * (cfg.graph.vertex_count + 1)
-    for step, dk in zip(steps, d):
-        pot[step.vertex] = pot[step.parent] + step.sign * dk
+    for (vertex, parent, sign), dk in zip(plan, d):
+        pot[vertex] = pot[parent] + sign * dk
     facet = verify_facet(cfg, tuple(pot[2:]))
     if facet.subgraph_edges != b.edges:
         raise InternalInconsistency(
@@ -197,9 +203,10 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
                 f"n = {g.n}, m = {g.m}; the enumeration would build up to "
                 f"2^{g.n} in each of up to 2^{g.n} - 1 classes"
             )
+        plan = [(s.vertex, s.parent, s.sign) for s in steps]
         facets = []
         for d in sign_vectors:
-            facet = _facet_from_sign_vector(cfg, b, steps, d)
+            facet = _facet_from_sign_vector(cfg, b, plan, d)
             key = facet.normal.coeffs
             if key in seen_normals:
                 raise InternalInconsistency(

@@ -54,7 +54,9 @@ class PointConfiguration:
     For each edge {i, j} (i < j) in graph order the directed edge (i, j)
     comes first, then (j, i); index 2k+s therefore is edge k with
     orientation s.  The package computes on directed_edges; points, their
-    encodings, are kept for output.
+    encodings, are kept for output.  Facet assembly reads two more tables
+    built here once: point_edges, the undirected edge of each point, and
+    vertex_set, the graph's vertices as a frozenset.
     """
 
     def __init__(self, graph: Graph):
@@ -63,6 +65,8 @@ class PointConfiguration:
         self.directed_edges: tuple[DirectedEdge, ...] = tuple(
             e for i, j in graph.edges for e in ((i, j), (j, i))
         )
+        self.point_edges = tuple(e for e in graph.edges for _ in range(2))
+        self.vertex_set = frozenset(graph.vertices())
         self.points: tuple[Point, ...] = tuple(
             edge_point(self.dim, t, h) for t, h in self.directed_edges
         )
@@ -115,7 +119,7 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence[int]) -
     minimum raises InternalInconsistency.
     """
     coeffs = normal.coeffs if isinstance(normal, InnerNormal) else tuple(normal)
-    if not all(isinstance(c, int) for c in coeffs):
+    if not all([isinstance(c, int) for c in coeffs]):
         raise ValueError(f"normal {coeffs} has an entry that is not an integer")
     if len(coeffs) != cfg.dim:
         raise ValueError(f"normal has length {len(coeffs)}, expected {cfg.dim}")
@@ -130,10 +134,11 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence[int]) -
         # cannot happen for nonzero normals on a full-dimensional symmetric
         # configuration, but guard against misuse
         raise NotAFacet("normal does not attain a negative minimum")
-    min_indices = tuple(i for i, v in enumerate(values) if v == minimum)
+    min_indices = [i for i, v in enumerate(values) if v == minimum]
+    tight = [cfg.directed_edges[i] for i in min_indices]
     # the minimum is < 0, so the tight points lie on a hyperplane that
     # misses the origin and their affine dimension is their rank - 1
-    if linalg.integer_rank([cfg.directed_edges[i] for i in min_indices]) != cfg.dim:
+    if linalg.integer_rank(tight) != cfg.dim:
         raise NotAFacet(
             f"minimizer set has affine dimension != {cfg.dim - 1}"
         )
@@ -141,31 +146,30 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence[int]) -
         raise InternalInconsistency(
             f"facet normal {coeffs} attains minimum {minimum}, not -1"
         )
-    return _assemble_facet(cfg, pot, min_indices)
+    return _assemble_facet(cfg, pot, min_indices, tight)
 
 
 def _assemble_facet(
     cfg: PointConfiguration,
     pot: tuple[int, ...],
-    min_indices: tuple[int, ...],
+    min_indices: list[int],
+    tight: list[DirectedEdge],
 ) -> Facet:
     # The tight edges have rank n, so they form a connected spanning
     # subgraph, and each changes the potential by exactly 1, so no edge is
     # tight in both orientations and the parity of the potential 2-colors
     # them, with vertex 1 (potential 0) on the plus side.
-    plus = frozenset(v for v in cfg.graph.vertices() if pot[v] % 2 == 0)
+    plus = frozenset([v for v in cfg.vertex_set if pot[v] % 2 == 0])
     dim = cfg.dim - 1
     return Facet(
         normal=InnerNormal(coeffs=pot[2:]),
-        point_indices=min_indices,
-        # point 2k+s lies on edge k, and graph edges are sorted
-        subgraph_edges=tuple(cfg.graph.edges[i >> 1] for i in min_indices),
-        directed_edges=tuple(cfg.directed_edges[i] for i in min_indices),
+        point_indices=tuple(min_indices),
+        # points are in edge order, and graph edges are sorted
+        subgraph_edges=tuple([cfg.point_edges[i] for i in min_indices]),
+        directed_edges=tuple(tight),
         dim=dim,
         corank=len(min_indices) - dim - 1,
-        bipartition=Bipartition(
-            plus=plus, minus=frozenset(cfg.graph.vertices()) - plus
-        ),
+        bipartition=Bipartition(plus=plus, minus=cfg.vertex_set - plus),
     )
 
 

@@ -65,9 +65,9 @@ def solve_neg_ones(directed_edges: Sequence[tuple[int, int]]) -> tuple[int, ...]
 
 def primitive(vector: Sequence[int]) -> tuple[int, ...]:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = 0
-    for value in vector:
-        g = gcd(g, value)
+    g = gcd(*vector)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(value // g for value in vector)
+    if g == 1:
+        return tuple(vector)
+    return tuple([value // g for value in vector])

@@ -188,6 +188,15 @@ class TestJoinedCycles:
         result = run(["joined-cycles", "1", "1"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "m1, m2, message",
+        [("1", "7000", "m1 must be >= 2"), ("7000", "0", "m2 must be >= 1")],
+    )
+    def test_domain_checked_before_guard(self, m1, m2, message):
+        result = run(["joined-cycles", m1, m2])
+        assert result.exit_code == 1
+        assert message in result.stderr
+
     def test_at_bound(self):
         assert run(["joined-cycles", "3500", "3500"]).exit_code == 0
 

@@ -83,6 +83,12 @@ class TestConfiguration:
                 assert edge_ends(point) == (t, h)
                 assert edge_point(cfg.dim, t, h) == point
 
+    def test_point_tables(self):
+        for g in exhaustive_corpus(4):
+            cfg = configuration_from_graph(g)
+            assert cfg.point_edges == tuple(e for e in g.edges for _ in range(2))
+            assert cfg.vertex_set == frozenset(g.vertices())
+
     def test_full_dimensional(self):
         for g in exhaustive_corpus(4):
             cfg = configuration_from_graph(g)
@@ -259,6 +265,42 @@ class TestVerifyFacet:
 
     def test_integer_normals_skip_fractions(self):
         assert not hasattr(geometry, "Fraction")
+
+    def test_assembly_reads_point_tables(self):
+        graphs = list(exhaustive_corpus(5)) + list(n6_sample_graphs().values())
+        for g in graphs:
+            cfg = configuration_from_graph(g)
+            for f in enumerate_all_facets(g):
+                assert verify_facet(cfg, f.normal) == f
+                assert f.directed_edges == tuple(
+                    cfg.directed_edges[i] for i in f.point_indices
+                )
+                assert f.subgraph_edges == tuple(
+                    g.edges[i >> 1] for i in f.point_indices
+                )
+                pot = (0, 0) + f.normal.coeffs
+                even = {v for v in g.vertices() if pot[v] % 2 == 0}
+                assert f.bipartition.plus == even
+                assert f.bipartition.minus == set(g.vertices()) - even
+
+
+class TestPrimitive:
+    @pytest.mark.parametrize(
+        "vector, expected",
+        [((-3, 0, 6), (-1, 0, 2)), ((2, -4), (1, -2)), ((0, 5), (0, 1))],
+    )
+    def test_divides_by_gcd(self, vector, expected):
+        assert linalg.primitive(vector) == expected
+
+    def test_gcd_one_list_comes_back_as_tuple(self):
+        result = linalg.primitive([3, -2, 0])
+        assert result == (3, -2, 0)
+        assert type(result) is tuple
+
+    @pytest.mark.parametrize("vector", [(0, 0), ()])
+    def test_zero_or_empty_raises(self, vector):
+        with pytest.raises(ValueError, match="zero vector"):
+            linalg.primitive(vector)
 
 
 class TestBruteForceOracle:
