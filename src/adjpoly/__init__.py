@@ -43,10 +43,8 @@ from .facets import (
 )
 from .geometry import (
     Facet,
-    InnerNormal,
     PointConfiguration,
     brute_force_facets,
-    configuration_from_graph,
     verify_facet,
 )
 from .graphs import (

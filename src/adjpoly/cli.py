@@ -120,13 +120,15 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(data)
 
 
-def _facet_json(facet: geometry.Facet, cfg: geometry.PointConfiguration) -> dict:
+def _facet_json(
+    facet: geometry.Facet, cfg: geometry.PointConfiguration, corank: int
+) -> dict:
     return {
-        "normal": list(facet.normal.coeffs),
+        "normal": list(facet.normal),
         "points": [list(p) for p in facet.points(cfg)],
-        "subgraph_edges": [list(e) for e in facet.subgraph_edges],
-        "dim": facet.dim,
-        "corank": facet.corank,
+        "subgraph_edges": [list(cfg.point_edges[i]) for i in facet.point_indices],
+        "dim": cfg.dim - 1,
+        "corank": corank,
     }
 
 
@@ -138,9 +140,10 @@ def _bipartition_lines(bip, indent: str = "  ") -> list[str]:
 
 def _cmd_facets(args) -> tuple[int, str]:
     g = _load_graph(args.file)
-    cfg = geometry.configuration_from_graph(g)
+    cfg = geometry.PointConfiguration(g)
     classes = facets_mod.enumerate_facet_classes(g)
     total = sum(len(c.facets) for c in classes)
+    coranks = [cls.subgraph.cyclomatic_number() for cls in classes]
     if args.json:
         doc = {
             "version": JSON_VERSION,
@@ -148,27 +151,22 @@ def _cmd_facets(args) -> tuple[int, str]:
             "edge_count": g.m,
             "classes": [
                 {
-                    "subgraph_index": cls.subgraph_index,
+                    "subgraph_index": index,
                     "class_size": len(cls.facets),
-                    "corank": cls.corank,
-                    "facets": [_facet_json(f, cfg) for f in cls.facets],
+                    "corank": corank,
+                    "facets": [_facet_json(f, cfg, corank) for f in cls.facets],
                 }
-                for cls in classes
+                for index, (cls, corank) in enumerate(zip(classes, coranks))
             ],
             "total": total,
         }
         return EXIT_OK, json.dumps(doc) + "\n"
     lines = [f"graph: N={g.vertex_count} m={g.m}"]
-    for cls in classes:
-        lines.append(
-            f"class {cls.subgraph_index}: corank={cls.corank} "
-            f"size={len(cls.facets)}"
-        )
+    for index, (cls, corank) in enumerate(zip(classes, coranks)):
+        lines.append(f"class {index}: corank={corank} size={len(cls.facets)}")
         lines.extend(_bipartition_lines(cls.subgraph.bipartition))
         for f in cls.facets:
-            lines.append(
-                "  normal " + " ".join(str(c) for c in f.normal.coeffs)
-            )
+            lines.append("  normal " + " ".join(str(c) for c in f.normal))
     lines.append(f"total {total}")
     return EXIT_OK, "\n".join(lines) + "\n"
 
@@ -216,10 +214,10 @@ def _cmd_bipartite(args) -> tuple[int, str]:
 
 def _cmd_oracle_check(args) -> tuple[int, str]:
     g = _load_graph(args.file)
-    cfg = geometry.configuration_from_graph(g)
+    cfg = geometry.PointConfiguration(g)
     # the oracle's guard is the tighter one: check it before enumerating
-    oracle = {f.normal.coeffs for f in geometry.brute_force_facets(cfg)}
-    fast = {f.normal.coeffs for f in facets_mod.enumerate_all_facets(g)}
+    oracle = {f.normal for f in geometry.brute_force_facets(cfg)}
+    fast = {f.normal for f in facets_mod.enumerate_all_facets(g)}
     if fast == oracle:
         return EXIT_OK, f"{len(fast)} == {len(oracle)}\n"
     return EXIT_INTERNAL, f"{len(fast)} != {len(oracle)}\n"

@@ -12,7 +12,7 @@ from math import comb
 
 from .errors import DomainError, InternalInconsistency
 from .facets import enumerate_facet_classes
-from .graphs import Bipartition, Graph
+from .graphs import Graph
 
 
 def count_sum_zero(n: int) -> int:
@@ -92,7 +92,6 @@ def joined_cycles_graph(m1: int, m2: int) -> Graph:
 
 @dataclasses.dataclass(frozen=True)
 class ClassRecord:
-    bipartition: Bipartition
     corank: int
     size: int
 
@@ -103,9 +102,6 @@ class FacetCensus:
     beta: int
     total: int
     bound: int
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(r.size for r in self.records)
 
     def total_by_corank(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -126,19 +122,13 @@ def facet_census(g: Graph) -> FacetCensus:
     class_bound = 1 << g.n
     records = []
     total = 0
-    for cls in classes:
+    for index, cls in enumerate(classes):
         size = len(cls.facets)
         if size > class_bound:
             raise InternalInconsistency(
-                f"class {cls.subgraph_index} has {size} facets > {class_bound}"
+                f"class {index} has {size} facets > {class_bound}"
             )
-        records.append(
-            ClassRecord(
-                bipartition=cls.subgraph.bipartition,
-                corank=cls.corank,
-                size=size,
-            )
-        )
+        records.append(ClassRecord(corank=cls.subgraph.cyclomatic_number(), size=size))
         total += size
     beta = len(records)
     bound = beta * class_bound

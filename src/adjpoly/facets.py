@@ -24,7 +24,6 @@ from .geometry import (
     Facet,
     Point,
     PointConfiguration,
-    configuration_from_graph,
     edge_ends,
     verify_facet,
 )
@@ -73,11 +72,15 @@ class FaceProperties:
 
 @dataclasses.dataclass(frozen=True)
 class FacetClass:
-    """All facets sharing one facet subgraph, in sign-vector order."""
+    """All facets sharing one facet subgraph, in sign-vector order.
 
-    subgraph_index: int
+    The class data is held here once, not per facet: each facet's tight
+    points encode subgraph's edges, one orientation each; its corank is
+    subgraph.cyclomatic_number(); and the even potentials of its normal,
+    vertex 1 at 0, are subgraph.bipartition.plus.
+    """
+
     subgraph: MaxBipartiteSubgraph
-    corank: int
     facets: tuple[Facet, ...]
 
 
@@ -172,8 +175,8 @@ def _facet_from_sign_vector(
     pot = [0] * (cfg.graph.vertex_count + 1)
     for (vertex, parent, sign), dk in zip(plan, d):
         pot[vertex] = pot[parent] + sign * dk
-    facet = verify_facet(cfg, tuple(pot[2:]))
-    if facet.subgraph_edges != b.edges:
+    facet = verify_facet(cfg, pot[2:])
+    if tuple([cfg.point_edges[i] for i in facet.point_indices]) != b.edges:
         raise InternalInconsistency(
             "facet subgraph does not match the generating bipartite subgraph"
         )
@@ -189,7 +192,7 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
     takes the total past ENUMERATION_MAX_FACETS raises TooLarge before its
     facets are built.
     """
-    cfg = configuration_from_graph(g)
+    cfg = PointConfiguration(g)
     seen_normals: dict[tuple[int, ...], int] = {}
     classes = []
     total = 0
@@ -207,22 +210,14 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
         facets = []
         for d in sign_vectors:
             facet = _facet_from_sign_vector(cfg, b, plan, d)
-            key = facet.normal.coeffs
-            if key in seen_normals:
+            if facet.normal in seen_normals:
                 raise InternalInconsistency(
-                    f"facet normal {key} produced by classes "
-                    f"{seen_normals[key]} and {index}"
+                    f"facet normal {facet.normal} produced by classes "
+                    f"{seen_normals[facet.normal]} and {index}"
                 )
-            seen_normals[key] = index
+            seen_normals[facet.normal] = index
             facets.append(facet)
-        classes.append(
-            FacetClass(
-                subgraph_index=index,
-                subgraph=b,
-                corank=b.cyclomatic_number(),
-                facets=tuple(facets),
-            )
-        )
+        classes.append(FacetClass(subgraph=b, facets=tuple(facets)))
     return classes
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import InternalInconsistency, NotAFacet, TooLarge, ZeroNormal
-from .graphs import Bipartition, DirectedEdge, Edge, Graph
+from .graphs import DirectedEdge, Graph
 
 Point = tuple[int, ...]
 
@@ -54,9 +54,8 @@ class PointConfiguration:
     For each edge {i, j} (i < j) in graph order the directed edge (i, j)
     comes first, then (j, i); index 2k+s therefore is edge k with
     orientation s.  The package computes on directed_edges; points, their
-    encodings, are kept for output.  Facet assembly reads two more tables
-    built here once: point_edges, the undirected edge of each point, and
-    vertex_set, the graph's vertices as a frozenset.
+    encodings, are kept for output, and point_edges holds the undirected
+    edge of each point.
     """
 
     def __init__(self, graph: Graph):
@@ -66,60 +65,47 @@ class PointConfiguration:
             e for i, j in graph.edges for e in ((i, j), (j, i))
         )
         self.point_edges = tuple(e for e in graph.edges for _ in range(2))
-        self.vertex_set = frozenset(graph.vertices())
         self.points: tuple[Point, ...] = tuple(
             edge_point(self.dim, t, h) for t, h in self.directed_edges
         )
 
 
-def configuration_from_graph(g: Graph) -> PointConfiguration:
-    return PointConfiguration(g)
-
-
-@dataclasses.dataclass(frozen=True)
-class InnerNormal:
-    """Primitive integer inner normal of a facet.
-
-    It attains minimum -1 over the configuration with no rescaling:
-    symmetric edge polytopes are reflexive (Matsui, Higashitani,
-    Nagazawa, Ohsugi and Hibi, 2011), so every facet is {x : <x, a> = -1}
-    for an integer a, and that a is primitive.
-    """
-
-    coeffs: tuple[int, ...]
-
-
 @dataclasses.dataclass(frozen=True)
 class Facet:
-    """A facet of the configuration, keyed by its primitive inner normal."""
+    """A facet of the configuration: its normal and its tight points.
 
-    normal: InnerNormal
+    normal is the primitive integer inner normal, read as the potentials
+    of vertices 2..N with vertex 1 at 0.  It attains minimum -1 over the
+    configuration with no rescaling: symmetric edge polytopes are
+    reflexive (Matsui, Higashitani, Nagazawa, Ohsugi and Hibi, 2011), so
+    every facet is {x : <x, a> = -1} for an integer a, and that a is
+    primitive.  point_indices lists the tight points in configuration
+    order and directed_edges the edges they encode.
+    """
+
+    normal: tuple[int, ...]
     point_indices: tuple[int, ...]
-    subgraph_edges: tuple[Edge, ...]
     directed_edges: tuple[DirectedEdge, ...]
-    dim: int
-    corank: int
-    bipartition: Bipartition
 
     def points(self, cfg: PointConfiguration) -> tuple[Point, ...]:
         return tuple(cfg.points[i] for i in self.point_indices)
 
 
-def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence[int]) -> Facet:
-    """Check that a normal supports a facet and assemble it.
+def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
+    """Check that a normal supports a facet and build it.
 
-    The normal a is read as vertex potentials with vertex 1 at 0, so the
-    point of (t, h) takes a_t - a_h in O(1).  It is an InnerNormal or a
-    sequence of integers; any other entry raises ValueError.  The
-    minimizer set of <., normal> must be (n-1)-dimensional, else
-    ZeroNormal or NotAFacet is raised; with a negative minimum that is
-    linear rank n of the tight points, which `linalg.integer_rank` counts
-    by union-find over their edges.  By reflexivity the primitive normal
-    of a facet then attains exactly -1 on it and > -1 elsewhere; any other
-    minimum raises InternalInconsistency.
+    The normal a is a sequence of ints (not bools), read as vertex
+    potentials with vertex 1 at 0, so the point of (t, h) takes a_t - a_h
+    in O(1); any other entry raises ValueError.  The minimizer set of
+    <., normal> must be (n-1)-dimensional, else ZeroNormal or NotAFacet is
+    raised; with a negative minimum that is linear rank n of the tight
+    points, which `linalg.integer_rank` counts by union-find over their
+    edges.  By reflexivity the primitive normal of a facet then attains
+    exactly -1 on it and > -1 elsewhere; any other minimum raises
+    InternalInconsistency.
     """
-    coeffs = normal.coeffs if isinstance(normal, InnerNormal) else tuple(normal)
-    if not all([isinstance(c, int) for c in coeffs]):
+    coeffs = tuple(normal)
+    if not all([type(c) is int for c in coeffs]):
         raise ValueError(f"normal {coeffs} has an entry that is not an integer")
     if len(coeffs) != cfg.dim:
         raise ValueError(f"normal has length {len(coeffs)}, expected {cfg.dim}")
@@ -146,30 +132,8 @@ def verify_facet(cfg: PointConfiguration, normal: InnerNormal | Sequence[int]) -
         raise InternalInconsistency(
             f"facet normal {coeffs} attains minimum {minimum}, not -1"
         )
-    return _assemble_facet(cfg, pot, min_indices, tight)
-
-
-def _assemble_facet(
-    cfg: PointConfiguration,
-    pot: tuple[int, ...],
-    min_indices: list[int],
-    tight: list[DirectedEdge],
-) -> Facet:
-    # The tight edges have rank n, so they form a connected spanning
-    # subgraph, and each changes the potential by exactly 1, so no edge is
-    # tight in both orientations and the parity of the potential 2-colors
-    # them, with vertex 1 (potential 0) on the plus side.
-    plus = frozenset([v for v in cfg.vertex_set if pot[v] % 2 == 0])
-    dim = cfg.dim - 1
     return Facet(
-        normal=InnerNormal(coeffs=pot[2:]),
-        point_indices=tuple(min_indices),
-        # points are in edge order, and graph edges are sorted
-        subgraph_edges=tuple([cfg.point_edges[i] for i in min_indices]),
-        directed_edges=tuple(tight),
-        dim=dim,
-        corank=len(min_indices) - dim - 1,
-        bipartition=Bipartition(plus=plus, minus=cfg.vertex_set - plus),
+        normal=coeffs, point_indices=tuple(min_indices), directed_edges=tuple(tight)
     )
 
 

@@ -9,6 +9,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import dataclasses
+import re
 from collections import deque
 from itertools import compress
 from typing import Iterable
@@ -20,6 +21,9 @@ DirectedEdge = tuple[int, int]
 
 # K_19 (262,143 subgraphs) still answers; K_20 would build 524,287
 BIPARTITE_MAX_SUBGRAPHS = 1 << 18
+
+# int() would also take "+1", "1_0" and non-ASCII digits
+_LABEL = re.compile(r"-?[0-9]+")
 
 
 class Graph:
@@ -96,9 +100,9 @@ class Graph:
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse the plain-text edge-list format into a validated Graph.
 
-    One edge per line as two whitespace-separated 1-based integers;
-    blank lines and lines starting with '#' are ignored; N is inferred
-    as the largest label seen.
+    One edge per line as two whitespace-separated 1-based integers, each
+    an optional '-' and ASCII digits; blank lines and lines starting with
+    '#' are ignored; N is inferred as the largest label seen.
     """
     if isinstance(text, bytes):
         try:
@@ -115,6 +119,8 @@ def parse_edge_list(text: str | bytes) -> Graph:
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
+            if not (_LABEL.fullmatch(tokens[0]) and _LABEL.fullmatch(tokens[1])):
+                raise ValueError
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer label in {line!r}") from None

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import InternalInconsistency
 from .facets import enumerate_all_facets
-from .geometry import Facet, Point, configuration_from_graph
+from .geometry import Facet, Point, PointConfiguration
 from .graphs import Graph
 
 
@@ -33,7 +33,7 @@ class SupportSet:
 
 def unmixed_support(g: Graph) -> SupportSet:
     """Configuration points plus the origin: 2m + 1 exponent vectors."""
-    cfg = configuration_from_graph(g)
+    cfg = PointConfiguration(g)
     origin = (0,) * cfg.dim
     vectors = tuple(sorted(set(cfg.points) | {origin}))
     return SupportSet(vectors=vectors)
@@ -46,7 +46,7 @@ def homotopy_lift(s: SupportSet) -> list[tuple[Point, int]]:
 
 def facet_subsystem_support(g: Graph, facet: Facet) -> SupportSet:
     """Support of the subsystem picked out by a facet: its points plus 0."""
-    cfg = configuration_from_graph(g)
+    cfg = PointConfiguration(g)
     origin = (0,) * cfg.dim
     vectors = tuple(sorted(set(facet.points(cfg)) | {origin}))
     return SupportSet(vectors=vectors)
@@ -74,14 +74,15 @@ class HomogenizationData:
 def homogenization_data(g: Graph) -> HomogenizationData:
     """V and h over the full facet enumeration, in enumeration order.
 
+    Row i is facet i's normal alpha_i, the potentials of vertices 2..N.
     h_i is the minimum of <., alpha_i> over the configuration: -1 for
     every primitive facet normal, which verify_facet asserts as it builds
-    each facet (see InnerNormal).  Soundness of the lift is asserted: every
+    each facet (see Facet).  Soundness of the lift is asserted: every
     support point maps to a nonnegative exponent vector, zero somewhere for
     each configuration point and nowhere for the origin.
     """
-    cfg = configuration_from_graph(g)
-    rows = tuple(f.normal.coeffs for f in enumerate_all_facets(g))
+    cfg = PointConfiguration(g)
+    rows = tuple(f.normal for f in enumerate_all_facets(g))
     data = HomogenizationData(rows=rows, offsets=(-1,) * len(rows))
 
     # row r takes r[t] - r[h] at the point of (t, h): vertex 1 has potential 0

@@ -11,12 +11,13 @@ import random
 import time
 
 from adjpoly import (
+    PointConfiguration,
     balancing_check,
     brute_force_facets,
-    configuration_from_graph,
     count_sum_two,
     count_sum_zero,
     enumerate_all_facets,
+    enumerate_facet_classes,
     enumerate_maximal_bipartite_subgraphs,
     face_properties,
     facet_census,
@@ -76,7 +77,7 @@ def test_criterion_1_worked_example(joined45, joined45_path):
     assert len(subs) == 7
     coranks = sorted(b.cyclomatic_number() for b in subs)
     assert coranks == [0, 0, 0, 1, 1, 1, 1]
-    assert sorted(census.sizes()) == [12, 12, 12, 18, 18, 18, 18]
+    assert sorted(r.size for r in census.records) == [12, 12, 12, 18, 18, 18, 18]
     assert census.total == 108
     assert census.total_by_corank() == {0: 36, 1: 72}
     assert elapsed < 5.0
@@ -91,10 +92,8 @@ def test_criterion_2_oracle_equivalence(joined45):
     start = time.monotonic()
     checked = 0
     for g in _oracle_corpus(joined45):
-        fast = {f.normal.coeffs for f in enumerate_all_facets(g)}
-        oracle = {
-            f.normal.coeffs for f in brute_force_facets(configuration_from_graph(g))
-        }
+        fast = {f.normal for f in enumerate_all_facets(g)}
+        oracle = {f.normal for f in brute_force_facets(PointConfiguration(g))}
         assert fast == oracle, f"discrepancy on {g.edges}"
         checked += 1
     elapsed = time.monotonic() - start
@@ -127,7 +126,7 @@ def test_criterion_5_bounds(joined45):
     for g in _oracle_corpus(joined45):
         census = facet_census(g)
         class_bound = 1 << g.n
-        assert all(size <= class_bound for size in census.sizes())
+        assert all(r.size <= class_bound for r in census.records)
         assert census.total <= census.beta * class_bound
         if is_bipartite_edges(g.edges):
             assert census.beta == 1
@@ -140,11 +139,13 @@ def test_criterion_6_face_properties(joined45):
     graphs = [g for g in _oracle_corpus(joined45) if g.vertex_count <= 7]
     facets_checked = 0
     for g in graphs:
+        cfg = PointConfiguration(g)
         for facet in enumerate_all_facets(g):
+            edges = [cfg.point_edges[i] for i in facet.point_indices]
             props = face_properties(g, facet)
-            assert props.corank == cyclomatic_number(facet.subgraph_edges, g)
+            assert props.corank == cyclomatic_number(edges, g)
             assert props.independent == (props.corank == 0)
-            touched = {v for e in facet.subgraph_edges for v in e}
+            touched = {v for e in edges for v in e}
             assert props.dim == len(touched) - props.component_count - 1
             assert balancing_check(g, facet)
             facets_checked += 1
@@ -153,8 +154,9 @@ def test_criterion_6_face_properties(joined45):
 
 def test_criterion_7_simplicial_equivalence(joined45):
     for g in _oracle_corpus(joined45):
-        facets = enumerate_all_facets(g)
-        all_corank0 = all(f.corank == 0 for f in facets)
+        all_corank0 = all(
+            cls.subgraph.cyclomatic_number() == 0 for cls in enumerate_facet_classes(g)
+        )
         no_even_cycle = not any(len(c) % 2 == 0 for c in all_cycles(g))
         assert is_simplicial(g) == all_corank0 == no_even_cycle == (
             not has_even_cycle(g)

@@ -128,27 +128,27 @@ class TestFacetCensus:
     def test_c4(self):
         census = facet_census(cycle_graph(4))
         assert census.beta == 1
-        assert census.sizes() == (6,)
+        assert [r.size for r in census.records] == [6]
         assert census.total == 6
         assert census.bound == 8
 
     def test_k2_bound_tight(self):
         census = facet_census(parse_edge_list("1 2"))
         assert census.beta == 1
-        assert census.sizes() == (2,)
+        assert [r.size for r in census.records] == [2]
         assert census.total == census.bound == 2
 
     def test_joined_4_5(self, joined45):
         census = facet_census(joined45)
         assert census.beta == 7
-        assert sorted(census.sizes()) == [12, 12, 12, 18, 18, 18, 18]
+        assert sorted(r.size for r in census.records) == [12, 12, 12, 18, 18, 18, 18]
         assert census.total == 108
         assert census.bound == 7 * 64
 
     def test_totals_are_sums(self):
         for g in list(exhaustive_corpus(5))[::17]:
             census = facet_census(g)
-            assert census.total == sum(census.sizes())
+            assert census.total == sum(r.size for r in census.records)
             assert census.total <= census.bound
 
     def test_bipartite_inputs_have_beta_one(self):

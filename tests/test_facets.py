@@ -11,14 +11,13 @@ from adjpoly import facets as facets_mod
 from adjpoly import (
     EmptySubset,
     Facet,
-    InnerNormal,
+    PointConfiguration,
     PotentialStep,
     TooLarge,
     ValidationError,
     balancing_check,
     brute_force_facets,
     build_cycle_system,
-    configuration_from_graph,
     enumerate_all_facets,
     enumerate_facet_classes,
     enumerate_maximal_bipartite_subgraphs,
@@ -88,20 +87,20 @@ class TestSignOrderEnds:
     def test_k2(self):
         g = parse_edge_list("1 2")
         (cls,) = enumerate_facet_classes(g)
-        cfg = configuration_from_graph(g)
+        cfg = PointConfiguration(g)
         ends = {cls.facets[0].points(cfg), cls.facets[-1].points(cfg)}
         assert ends == {((1,),), ((-1,),)}
 
     def test_c4_half_vector_normals(self):
         (cls,) = enumerate_facet_classes(cycle_graph(4))
-        assert cls.facets[-1].normal.coeffs == (-1, 0, -1)
-        assert cls.facets[0].normal.coeffs == (1, 0, 1)
+        assert cls.facets[-1].normal == (-1, 0, -1)
+        assert cls.facets[0].normal == (1, 0, 1)
         assert len(cls.facets[-1].point_indices) == 4
 
     def test_triangle_path_subgraph(self):
         g = cycle_graph(3)
         cls = _class_of(g, _subgraph_by_edges(g, [(1, 2), (2, 3)]))
-        cfg = configuration_from_graph(g)
+        cfg = PointConfiguration(g)
         # crossing edges oriented into V+ = {1, 3}: points (2,1) and (2,3)
         assert set(cls.facets[-1].points(cfg)) == {(1, 0), (1, -1)}
         assert set(cls.facets[0].points(cfg)) == {(-1, 0), (-1, 1)}
@@ -115,7 +114,7 @@ class TestSignOrderEnds:
                 first, last = cls.facets[0], cls.facets[-1]
                 assert all(t in plus and h not in plus for t, h in first.directed_edges)
                 assert all(t not in plus and h in plus for t, h in last.directed_edges)
-                assert first.normal.coeffs == tuple(-c for c in last.normal.coeffs)
+                assert first.normal == tuple(-c for c in last.normal)
 
 
 class TestCycleSystem:
@@ -325,11 +324,8 @@ class TestFacetFromSignVector:
         g = cycle_graph(4)
         (cls,) = enumerate_facet_classes(g)
         ds = enumerate_sign_vectors(build_cycle_system(g, cls.subgraph))
-        fast = {f.normal.coeffs for f in cls.facets}
-        oracle = {
-            f.normal.coeffs
-            for f in brute_force_facets(configuration_from_graph(g))
-        }
+        fast = {f.normal for f in cls.facets}
+        oracle = {f.normal for f in brute_force_facets(PointConfiguration(g))}
         assert len(ds) == len(fast) == 6
         assert fast == oracle
 
@@ -340,8 +336,8 @@ class TestFacetFromSignVector:
         for facet in facets:
             # one point per edge of the 7-edge subgraph
             assert len(facet.point_indices) == 7
-            assert facet.dim == 5
-            assert facet.corank == 1
+            props = face_properties(joined45, facet)
+            assert (props.dim, props.corank) == (5, 1)
 
     def test_signed_tree_points_lie_on_facet(self, joined45):
         for g in (cycle_graph(4), joined45):
@@ -369,26 +365,22 @@ class TestEnumerateAllFacets:
 
     def test_oracle_equivalence_small(self):
         for g in exhaustive_corpus(4):
-            fast = {f.normal.coeffs for f in enumerate_all_facets(g)}
-            oracle = {
-                f.normal.coeffs
-                for f in brute_force_facets(configuration_from_graph(g))
-            }
+            fast = {f.normal for f in enumerate_all_facets(g)}
+            oracle = {f.normal for f in brute_force_facets(PointConfiguration(g))}
             assert fast == oracle, g.edges
 
     def test_classes_partition_oracle_by_subgraph(self, joined45):
-        oracle = brute_force_facets(configuration_from_graph(joined45))
+        cfg = PointConfiguration(joined45)
         by_subgraph = {}
-        for f in oracle:
-            by_subgraph.setdefault(f.subgraph_edges, set()).add(f.normal.coeffs)
+        for f in brute_force_facets(cfg):
+            edges = tuple(cfg.point_edges[i] for i in f.point_indices)
+            by_subgraph.setdefault(edges, set()).add(f.normal)
         for cls in enumerate_facet_classes(joined45):
-            assert {
-                f.normal.coeffs for f in cls.facets
-            } == by_subgraph[cls.subgraph.edges]
+            assert {f.normal for f in cls.facets} == by_subgraph[cls.subgraph.edges]
 
     def test_globally_duplicate_free(self, joined45):
         facets = enumerate_all_facets(joined45)
-        normals = [f.normal.coeffs for f in facets]
+        normals = [f.normal for f in facets]
         assert len(set(normals)) == len(normals)
 
     def test_facet_bound_before_building(self, monkeypatch):
@@ -442,12 +434,12 @@ class TestFaceProperties:
         # two 4-cycles joined by the edge (4, 5): without it, every degree
         # is 2 but the subgraph has two components
         g = parse_edge_list("1 2\n2 3\n3 4\n4 1\n4 5\n5 6\n6 7\n7 8\n8 5")
-        cfg = configuration_from_graph(g)
+        cfg = PointConfiguration(g)
         facet = enumerate_all_facets(g)[0]
         subset = [
             cfg.points[i]
-            for i, e in zip(facet.point_indices, facet.subgraph_edges)
-            if e != (4, 5)
+            for i in facet.point_indices
+            if cfg.point_edges[i] != (4, 5)
         ]
         props = face_properties(g, subset)
         assert props.component_count == 2
@@ -456,7 +448,9 @@ class TestFaceProperties:
 
     def test_tree_facet_independent(self, joined45):
         tree_cls = [
-            c for c in enumerate_facet_classes(joined45) if c.corank == 0
+            c
+            for c in enumerate_facet_classes(joined45)
+            if c.subgraph.cyclomatic_number() == 0
         ][0]
         props = face_properties(joined45, tree_cls.facets[0])
         assert props.dim == 5
@@ -471,13 +465,13 @@ class TestFaceProperties:
     def test_point_and_its_negative_rejected(self):
         # no face holds both orientations of an edge
         g = cycle_graph(4)
-        cfg = configuration_from_graph(g)
+        cfg = PointConfiguration(g)
         with pytest.raises(ValidationError, match=r"edge \(1, 2\)"):
             face_properties(g, [cfg.points[0], cfg.points[1]])
 
     def test_repeated_point_rejected(self):
         g = cycle_graph(4)
-        cfg = configuration_from_graph(g)
+        cfg = PointConfiguration(g)
         with pytest.raises(ValidationError, match=r"repeated point of edge \(1, 2\)"):
             face_properties(g, [cfg.points[0], cfg.points[0]])
 
@@ -495,7 +489,7 @@ class TestFaceProperties:
         rng = random.Random(63)
         verdicts = {True: 0, False: 0}
         for g in exhaustive_corpus(5):
-            cfg = configuration_from_graph(g)
+            cfg = PointConfiguration(g)
             facet_sets = [set(f.point_indices) for f in enumerate_all_facets(g)]
             for _ in range(8):
                 if rng.random() < 0.5:
@@ -522,7 +516,7 @@ class TestFaceProperties:
         # decide the rest
         rng = random.Random(6)
         for g in list(exhaustive_corpus(5)) + [joined45]:
-            cfg = configuration_from_graph(g)
+            cfg = PointConfiguration(g)
             for facet in enumerate_all_facets(g):
                 indices = rng.sample(
                     facet.point_indices, rng.randint(1, len(facet.point_indices))
@@ -556,11 +550,11 @@ class TestFaceProperties:
             face_properties(complete_graph(4), [point])
 
     def test_matches_graph_formulas(self, joined45):
+        cfg = PointConfiguration(joined45)
         for facet in enumerate_all_facets(joined45):
             props = face_properties(joined45, facet)
-            assert props.corank == cyclomatic_number(
-                facet.subgraph_edges, joined45
-            )
+            edges = [cfg.point_edges[i] for i in facet.point_indices]
+            assert props.corank == cyclomatic_number(edges, joined45)
             assert props.dim == joined45.vertex_count - props.component_count - 1
             assert props.independent == (props.corank == 0)
 
@@ -573,7 +567,7 @@ class TestFaceProperties:
                 common = set(f1.point_indices) & set(f2.point_indices)
                 if not common:
                     continue
-                cfg = configuration_from_graph(g)
+                cfg = PointConfiguration(g)
                 edges = set()
                 for idx in common:
                     i, j = cfg.directed_edges[idx]
@@ -674,7 +668,7 @@ class TestBalancing:
     def test_c40_facet(self):
         # alternating 0/1 potentials make every edge of C40 tight
         g = cycle_graph(40)
-        cfg = configuration_from_graph(g)
+        cfg = PointConfiguration(g)
         facet = verify_facet(cfg, tuple((v - 1) % 2 for v in range(2, 41)))
         assert len(facet.directed_edges) == 40
         assert balancing_check(g, facet)
@@ -690,13 +684,9 @@ class TestBalancing:
         g = cycle_graph(4)
         template = enumerate_all_facets(g)[0]
         bad = Facet(
-            normal=InnerNormal(coeffs=(1, 1, 1)),
+            normal=(1, 1, 1),
             point_indices=template.point_indices,
-            subgraph_edges=template.subgraph_edges,
             directed_edges=((1, 2), (2, 3), (3, 4), (1, 4)),
-            dim=template.dim,
-            corank=template.corank,
-            bipartition=template.bipartition,
         )
         assert balancing_check(g, bad) is False
 
@@ -709,8 +699,9 @@ class TestSimplicial:
 
     def test_equivalences(self):
         for g in exhaustive_corpus(5):
-            facets = enumerate_all_facets(g)
-            all_corank0 = all(f.corank == 0 for f in facets)
+            all_corank0 = all(
+                c.subgraph.cyclomatic_number() == 0 for c in enumerate_facet_classes(g)
+            )
             even = any(len(c) % 2 == 0 for c in all_cycles(g))
             assert is_simplicial(g) == all_corank0 == (not has_even_cycle(g))
             assert has_even_cycle(g) == even

@@ -9,14 +9,15 @@ import pytest
 
 from adjpoly import (
     Graph,
-    InnerNormal,
     InternalInconsistency,
     NotAFacet,
+    PointConfiguration,
     TooLarge,
     ZeroNormal,
     brute_force_facets,
-    configuration_from_graph,
     enumerate_all_facets,
+    enumerate_facet_classes,
+    face_properties,
     parse_edge_list,
     verify_facet,
 )
@@ -40,6 +41,11 @@ from conftest import (
 )
 
 
+def _even_vertices(normal) -> frozenset:
+    """The vertices of even potential, vertex 1 at 0 among them."""
+    return frozenset([1] + [v for v, a in enumerate(normal, start=2) if a % 2 == 0])
+
+
 def _is_edge_vector(row) -> bool:
     """Zero, a lone +-1, or one +1 and one -1."""
     return sorted(x for x in row if x) in ([], [1], [-1], [-1, 1])
@@ -47,23 +53,23 @@ def _is_edge_vector(row) -> bool:
 
 class TestConfiguration:
     def test_k2(self):
-        cfg = configuration_from_graph(parse_edge_list("1 2"))
+        cfg = PointConfiguration(parse_edge_list("1 2"))
         assert cfg.dim == 1
         assert cfg.points == ((-1,), (1,))
 
     def test_triangle_hexagon(self):
-        cfg = configuration_from_graph(cycle_graph(3))
+        cfg = PointConfiguration(cycle_graph(3))
         assert set(cfg.points) == {
             (-1, 0), (1, 0), (0, -1), (0, 1), (1, -1), (-1, 1),
         }
 
     def test_c4_eight_points(self):
-        cfg = configuration_from_graph(cycle_graph(4))
+        cfg = PointConfiguration(cycle_graph(4))
         assert cfg.dim == 3
         assert len(cfg.points) == 8
 
     def test_order_pairs_signed(self):
-        cfg = configuration_from_graph(cycle_graph(3))
+        cfg = PointConfiguration(cycle_graph(3))
         for k in range(cfg.graph.m):
             assert cfg.points[2 * k] == tuple(-x for x in cfg.points[2 * k + 1])
             i, j = cfg.graph.edges[k]
@@ -72,26 +78,25 @@ class TestConfiguration:
 
     def test_central_symmetry_everywhere(self):
         for g in exhaustive_corpus(5):
-            cfg = configuration_from_graph(g)
+            cfg = PointConfiguration(g)
             points = set(cfg.points)
             assert all(tuple(-x for x in p) in points for p in points)
 
     def test_point_edge_round_trip(self):
         for g in exhaustive_corpus(4):
-            cfg = configuration_from_graph(g)
+            cfg = PointConfiguration(g)
             for point, (t, h) in zip(cfg.points, cfg.directed_edges):
                 assert edge_ends(point) == (t, h)
                 assert edge_point(cfg.dim, t, h) == point
 
     def test_point_tables(self):
         for g in exhaustive_corpus(4):
-            cfg = configuration_from_graph(g)
+            cfg = PointConfiguration(g)
             assert cfg.point_edges == tuple(e for e in g.edges for _ in range(2))
-            assert cfg.vertex_set == frozenset(g.vertices())
 
     def test_full_dimensional(self):
         for g in exhaustive_corpus(4):
-            cfg = configuration_from_graph(g)
+            cfg = PointConfiguration(g)
             base = cfg.points[0]
             diffs = [[a - b for a, b in zip(p, base)] for p in cfg.points[1:]]
             assert fraction_rank(diffs) == cfg.dim
@@ -193,56 +198,67 @@ class TestSolveNegOnes:
 
 class TestVerifyFacet:
     def test_k2_normal_one(self):
-        cfg = configuration_from_graph(parse_edge_list("1 2"))
+        g = parse_edge_list("1 2")
+        cfg = PointConfiguration(g)
         facet = verify_facet(cfg, (1,))
         assert facet.points(cfg) == ((-1,),)
-        assert facet.dim == 0
-        assert facet.corank == 0
-        assert facet.normal == InnerNormal(coeffs=(1,))
+        assert facet.directed_edges == ((1, 2),)
+        assert facet.normal == (1,)
+        props = face_properties(g, facet)
+        assert (props.dim, props.corank) == (0, 0)
 
     def test_c4_canonical_normal(self):
         # reduced form of the half-vector for V+ = {1,3}: entries a_v - a_1
-        cfg = configuration_from_graph(cycle_graph(4))
+        g = cycle_graph(4)
+        cfg = PointConfiguration(g)
         facet = verify_facet(cfg, (-1, 0, -1))
         assert len(facet.point_indices) == 4
-        assert facet.dim == 2
-        assert facet.corank == 1
-        assert facet.subgraph_edges == cycle_graph(4).edges
-        assert sorted(facet.bipartition.plus) == [1, 3]
+        assert tuple(cfg.point_edges[i] for i in facet.point_indices) == g.edges
+        assert _even_vertices(facet.normal) == {1, 3}
+        props = face_properties(g, facet)
+        assert (props.dim, props.corank) == (2, 1)
 
     def test_c4_min_set_too_small(self):
-        cfg = configuration_from_graph(cycle_graph(4))
+        cfg = PointConfiguration(cycle_graph(4))
         with pytest.raises(NotAFacet):
             verify_facet(cfg, (1, 0, 0))
 
     def test_zero_normal(self):
-        cfg = configuration_from_graph(cycle_graph(4))
+        cfg = PointConfiguration(cycle_graph(4))
         with pytest.raises(ZeroNormal):
             verify_facet(cfg, (0, 0, 0))
 
     def test_scaled_normal_reduced_to_primitive(self):
-        cfg = configuration_from_graph(cycle_graph(4))
+        cfg = PointConfiguration(cycle_graph(4))
         facet = verify_facet(cfg, (-3, 0, -3))
-        assert facet.normal.coeffs == (-1, 0, -1)
+        assert facet.normal == (-1, 0, -1)
 
     def test_rational_normal_rejected(self):
-        cfg = configuration_from_graph(cycle_graph(4))
+        cfg = PointConfiguration(cycle_graph(4))
         normal = (Fraction(-1, 2), 0, Fraction(-1, 2))
         with pytest.raises(ValueError, match=re.escape(f"normal {normal}")):
             verify_facet(cfg, normal)
 
-    def test_inner_normal_instance_accepted(self):
-        cfg = configuration_from_graph(cycle_graph(4))
-        facet = verify_facet(cfg, (-1, 0, -1))
+    def test_facet_normal_accepted(self):
+        cfg = PointConfiguration(cycle_graph(4))
+        facet = verify_facet(cfg, [-1, 0, -1])
+        assert facet.normal == (-1, 0, -1)
         assert verify_facet(cfg, facet.normal) == facet
+
+    @pytest.mark.parametrize("normal", [(True, False), (1, True)])
+    def test_bool_normal_rejected(self, normal):
+        # both would be facets of C3 if the bools were read as 1 and 0
+        cfg = PointConfiguration(cycle_graph(3))
+        with pytest.raises(ValueError, match=re.escape(f"normal {normal}")):
+            verify_facet(cfg, normal)
 
     def test_supporting_values_exact(self):
         # reflexivity: the primitive normal itself attains -1, no rescaling
-        cfg = configuration_from_graph(cycle_graph(4))
+        cfg = PointConfiguration(cycle_graph(4))
         facet = verify_facet(cfg, (-3, 0, -3))
         on_facet = set(facet.point_indices)
         for idx, point in enumerate(cfg.points):
-            value = sum(c * x for c, x in zip(facet.normal.coeffs, point))
+            value = sum(c * x for c, x in zip(facet.normal, point))
             if idx in on_facet:
                 assert value == -1
             else:
@@ -251,37 +267,40 @@ class TestVerifyFacet:
     def test_minimum_other_than_minus_one_is_inconsistent(self, monkeypatch):
         # (2, 1, 0) on C4 attains -2, so it is no facet; with the rank
         # check forced to pass, the -1 assertion must catch it
-        cfg = configuration_from_graph(cycle_graph(4))
+        cfg = PointConfiguration(cycle_graph(4))
         monkeypatch.setattr(linalg, "integer_rank", lambda edges: cfg.dim)
         with pytest.raises(InternalInconsistency, match="minimum -2"):
             verify_facet(cfg, (2, 1, 0))
 
     def test_parity_bipartition_matches_two_coloring(self, joined45):
         for g in list(exhaustive_corpus(5)) + [joined45]:
+            cfg = PointConfiguration(g)
             for facet in enumerate_all_facets(g):
-                assert facet.bipartition == two_color(
-                    facet.subgraph_edges, g.vertex_count
-                )
+                edges = [cfg.point_edges[i] for i in facet.point_indices]
+                plus = two_color(edges, g.vertex_count).plus
+                assert _even_vertices(facet.normal) == plus
 
     def test_integer_normals_skip_fractions(self):
         assert not hasattr(geometry, "Fraction")
 
-    def test_assembly_reads_point_tables(self):
+    def test_facets_agree_with_their_class(self):
+        # a facet holds only its normal and tight points; its subgraph,
+        # bipartition, dim and corank are its class's
         graphs = list(exhaustive_corpus(5)) + list(n6_sample_graphs().values())
         for g in graphs:
-            cfg = configuration_from_graph(g)
-            for f in enumerate_all_facets(g):
-                assert verify_facet(cfg, f.normal) == f
-                assert f.directed_edges == tuple(
-                    cfg.directed_edges[i] for i in f.point_indices
-                )
-                assert f.subgraph_edges == tuple(
-                    g.edges[i >> 1] for i in f.point_indices
-                )
-                pot = (0, 0) + f.normal.coeffs
-                even = {v for v in g.vertices() if pot[v] % 2 == 0}
-                assert f.bipartition.plus == even
-                assert f.bipartition.minus == set(g.vertices()) - even
+            cfg = PointConfiguration(g)
+            for cls in enumerate_facet_classes(g):
+                b = cls.subgraph
+                for f in cls.facets:
+                    assert verify_facet(cfg, f.normal) == f
+                    assert f.directed_edges == tuple(
+                        cfg.directed_edges[i] for i in f.point_indices
+                    )
+                    assert _even_vertices(f.normal) == b.bipartition.plus
+                    assert tuple(cfg.point_edges[i] for i in f.point_indices) == b.edges
+                    props = face_properties(g, f)
+                    assert props.dim == g.n - 1
+                    assert props.corank == b.cyclomatic_number()
 
 
 class TestPrimitive:
@@ -305,16 +324,16 @@ class TestPrimitive:
 
 class TestBruteForceOracle:
     def test_k2(self):
-        cfg = configuration_from_graph(parse_edge_list("1 2"))
+        cfg = PointConfiguration(parse_edge_list("1 2"))
         facets = brute_force_facets(cfg)
-        assert [f.normal.coeffs for f in facets] == [(-1,), (1,)]
+        assert [f.normal for f in facets] == [(-1,), (1,)]
 
     def test_c4_six_facets(self):
-        cfg = configuration_from_graph(cycle_graph(4))
+        cfg = PointConfiguration(cycle_graph(4))
         assert len(brute_force_facets(cfg)) == 6
 
     def test_joined_cycles_108(self, joined45):
-        cfg = configuration_from_graph(joined45)
+        cfg = PointConfiguration(joined45)
         assert len(brute_force_facets(cfg)) == 108
 
     @pytest.mark.parametrize(
@@ -336,25 +355,25 @@ class TestBruteForceOracle:
         + [pytest.param(Graph(9, [(1, v) for v in range(2, 10)]), 2**8, id="K1,8")],
     )
     def test_closed_form_counts(self, g, count):
-        assert len(brute_force_facets(configuration_from_graph(g))) == count
+        assert len(brute_force_facets(PointConfiguration(g))) == count
 
     def test_guard_rail(self):
         big = cycle_graph(10)
         with pytest.raises(TooLarge):
-            brute_force_facets(configuration_from_graph(big))
+            brute_force_facets(PointConfiguration(big))
 
     def test_no_duplicate_normals_and_sorted(self):
         for g in exhaustive_corpus(4):
-            facets = brute_force_facets(configuration_from_graph(g))
-            normals = [f.normal.coeffs for f in facets]
+            facets = brute_force_facets(PointConfiguration(g))
+            normals = [f.normal for f in facets]
             assert len(set(normals)) == len(normals)
             assert normals == sorted(normals)
 
     def test_facets_closed_under_negation(self):
-        cfg = configuration_from_graph(cycle_graph(4))
+        cfg = PointConfiguration(cycle_graph(4))
         facets = brute_force_facets(cfg)
-        normals = {f.normal.coeffs for f in facets}
-        by_normal = {f.normal.coeffs: f for f in facets}
+        normals = {f.normal for f in facets}
+        by_normal = {f.normal: f for f in facets}
         for normal, facet in by_normal.items():
             negated = tuple(-c for c in normal)
             assert negated in normals
@@ -364,9 +383,9 @@ class TestBruteForceOracle:
             } == set(mirror.points(cfg))
 
     def test_every_oracle_facet_reverifies(self):
-        cfg = configuration_from_graph(cycle_graph(4))
+        cfg = PointConfiguration(cycle_graph(4))
         for facet in brute_force_facets(cfg):
-            again = verify_facet(cfg, facet.normal.coeffs)
+            again = verify_facet(cfg, facet.normal)
             assert again.point_indices == facet.point_indices
 
     def test_rank_skip_matches_unpruned_loop(self, monkeypatch):
@@ -380,7 +399,7 @@ class TestBruteForceOracle:
 
         monkeypatch.setattr(linalg, "solve_neg_ones", counted)
         for g in list(exhaustive_corpus(5)) + list(n6_sample_graphs().values()):
-            cfg = configuration_from_graph(g)
+            cfg = PointConfiguration(g)
             solves = 0
             facets = brute_force_facets(cfg)
             # only the spanning trees are independent n-edge sets

@@ -106,7 +106,10 @@ class TestParseEdgeList:
         with pytest.raises(ValidationError):
             parse_edge_list("# nothing\n")
 
-    @pytest.mark.parametrize("line", ["1", "1 2 3", "1 two"])
+    # int() alone would read the last three as (1, 2), (10, 2) and (1, 2)
+    @pytest.mark.parametrize(
+        "line", ["1", "1 2 3", "1 two", "+1 2", "1_0 2", "\u0661 \u0662"]
+    )
     def test_malformed_line(self, line):
         with pytest.raises(ParseError):
             parse_edge_list(line)
@@ -114,6 +117,8 @@ class TestParseEdgeList:
     def test_nonpositive_label(self):
         with pytest.raises(ValidationError):
             parse_edge_list("0 1")
+        with pytest.raises(ValidationError, match="labels must be >= 1"):
+            parse_edge_list("-1 2")
 
 
 class TestMaximalBipartiteSubgraphs:

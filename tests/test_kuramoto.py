@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from adjpoly import (
-    InnerNormal,
     InternalInconsistency,
+    PointConfiguration,
     enumerate_all_facets,
-    configuration_from_graph,
+    enumerate_facet_classes,
     facet_subsystem_support,
     homogenization_data,
     homotopy_lift,
@@ -61,23 +61,28 @@ class TestFacetSubsystemSupport:
     def test_k2_facet(self):
         facet = enumerate_all_facets(K2)[0]
         support = facet_subsystem_support(K2, facet)
-        assert set(support.vectors) == {facet.points(configuration_from_graph(K2))[0], (0,)}
+        assert set(support.vectors) == {facet.points(PointConfiguration(K2))[0], (0,)}
 
     def test_c4_canonical(self):
         g = cycle_graph(4)
-        facet = [f for f in enumerate_all_facets(g) if f.normal.coeffs == (-1, 0, -1)][0]
+        facet = [f for f in enumerate_all_facets(g) if f.normal == (-1, 0, -1)][0]
         support = facet_subsystem_support(g, facet)
-        cfg = configuration_from_graph(g)
+        cfg = PointConfiguration(g)
         assert set(support.vectors) == set(facet.points(cfg)) | {(0, 0, 0)}
         assert len(support) == 5
 
     def test_joined_4_5_corank1_has_8(self, joined45):
-        facet = [f for f in enumerate_all_facets(joined45) if f.corank == 1][0]
+        (cls, *_) = [
+            c
+            for c in enumerate_facet_classes(joined45)
+            if c.subgraph.cyclomatic_number() == 1
+        ]
+        facet = cls.facets[0]
         # 7 facet points (one per subgraph edge) plus the origin
         assert len(facet_subsystem_support(joined45, facet)) == 8
 
     def test_strip_origin_gives_facet_points(self, joined45):
-        cfg = configuration_from_graph(joined45)
+        cfg = PointConfiguration(joined45)
         for facet in enumerate_all_facets(joined45)[:10]:
             subsystem = facet_subsystem_support(joined45, facet)
             origin = (0,) * cfg.dim
@@ -98,7 +103,7 @@ class TestHomogenization:
 
     def test_rows_follow_enumeration_order(self, joined45):
         data = homogenization_data(joined45)
-        normals = tuple(f.normal.coeffs for f in enumerate_all_facets(joined45))
+        normals = tuple(f.normal for f in enumerate_all_facets(joined45))
         assert data.rows == normals
 
     @pytest.mark.parametrize("maker", [lambda: cycle_graph(4), None])
@@ -118,10 +123,8 @@ class TestHomogenization:
     def test_non_facet_row_rejected(self, monkeypatch, joined45, index):
         # twice a facet normal attains -2 on that facet's points
         facets = enumerate_all_facets(joined45)
-        doubled = tuple(2 * c for c in facets[index].normal.coeffs)
-        facets[index] = dataclasses.replace(
-            facets[index], normal=InnerNormal(coeffs=doubled)
-        )
+        doubled = tuple(2 * c for c in facets[index].normal)
+        facets[index] = dataclasses.replace(facets[index], normal=doubled)
         monkeypatch.setattr(kuramoto, "enumerate_all_facets", lambda g: facets)
         with pytest.raises(InternalInconsistency, match="does not sit on any facet"):
             homogenization_data(joined45)
