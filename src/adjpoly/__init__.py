@@ -48,7 +48,6 @@ from .geometry import (
     verify_facet,
 )
 from .graphs import (
-    Bipartition,
     Graph,
     MaxBipartiteSubgraph,
     enumerate_maximal_bipartite_subgraphs,

@@ -132,10 +132,10 @@ def _facet_json(
     }
 
 
-def _bipartition_lines(bip, indent: str = "  ") -> list[str]:
-    plus = " ".join(str(v) for v in sorted(bip.plus))
-    minus = " ".join(str(v) for v in sorted(bip.minus))
-    return [f"{indent}V+ = {plus}", f"{indent}V- = {minus}"]
+def _bipartition_lines(b) -> list[str]:
+    plus = " ".join(str(v) for v in sorted(b.plus))
+    minus = " ".join(str(v) for v in sorted(b.minus))
+    return [f"  V+ = {plus}", f"  V- = {minus}"]
 
 
 def _cmd_facets(args) -> tuple[int, str]:
@@ -164,7 +164,7 @@ def _cmd_facets(args) -> tuple[int, str]:
     lines = [f"graph: N={g.vertex_count} m={g.m}"]
     for index, (cls, corank) in enumerate(zip(classes, coranks)):
         lines.append(f"class {index}: corank={corank} size={len(cls.facets)}")
-        lines.extend(_bipartition_lines(cls.subgraph.bipartition))
+        lines.extend(_bipartition_lines(cls.subgraph))
         for f in cls.facets:
             lines.append("  normal " + " ".join(str(c) for c in f.normal))
     lines.append(f"total {total}")
@@ -208,7 +208,7 @@ def _cmd_bipartite(args) -> tuple[int, str]:
         lines.append(
             f"subgraph {idx}: edges={len(b.edges)} corank={b.cyclomatic_number()}"
         )
-        lines.extend(_bipartition_lines(b.bipartition))
+        lines.extend(_bipartition_lines(b))
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter, deque
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import linalg
 from .errors import EmptySubset, InternalInconsistency, TooLarge, ValidationError
@@ -43,20 +43,20 @@ SIGN_SEARCH_MAX_DIM = 30
 ENUMERATION_MAX_FACETS = 1 << 18
 
 
-@dataclasses.dataclass(frozen=True)
-class PotentialStep:
+class PotentialStep(NamedTuple):
     """One vertex of b's BFS tree: f(vertex) = f(parent) + sign * d_k.
 
-    tree_edge is the tree edge oriented from b's minus side to its plus
-    side; d_k = +1 puts it among the facet's directed edges and d_k = -1
-    puts its reverse there.  checks holds (u, gap) for every other edge of
-    g from vertex to an earlier vertex u: |f(vertex) - f(u)| must be gap,
-    1 on edges of b and 0 on the other edges of g.
+    sign is +1 when vertex is in b.plus and -1 when it is in b.minus, so
+    the tree edge oriented from minus to plus is (parent, vertex) when
+    sign is +1 and (vertex, parent) otherwise; d_k = +1 puts it among the
+    facet's directed edges and d_k = -1 puts its reverse there.  checks
+    holds (u, gap) for every other edge of g from vertex to an earlier
+    vertex u: |f(vertex) - f(u)| must be gap, 1 on edges of b and 0 on
+    the other edges of g.
     """
 
     vertex: int
     parent: int
-    tree_edge: DirectedEdge
     sign: int
     checks: tuple[tuple[int, int], ...]
 
@@ -75,9 +75,9 @@ class FacetClass:
     """All facets sharing one facet subgraph, in sign-vector order.
 
     The class data is held here once, not per facet: each facet's tight
-    points encode subgraph's edges, one orientation each; its corank is
+    points encode subgraph.edges, one orientation each; its corank is
     subgraph.cyclomatic_number(); and the even potentials of its normal,
-    vertex 1 at 0, are subgraph.bipartition.plus.
+    vertex 1 at 0, are subgraph.plus.
     """
 
     subgraph: MaxBipartiteSubgraph
@@ -87,11 +87,11 @@ class FacetClass:
 def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> tuple[PotentialStep, ...]:
     """The steps of b's BFS tree from vertex 1, ascending neighbours first.
 
-    The edges of b are the edges of g that cross its bipartition, so the
-    BFS follows crossing edges, and an edge to an earlier vertex needs a
-    potential gap of 1 exactly when it crosses.
+    The edges of b are the edges of g between b.plus and b.minus, so the
+    BFS follows them, and an edge to an earlier vertex needs a potential
+    gap of 1 exactly when it crosses.
     """
-    plus = b.bipartition.plus
+    plus = b.plus
     parent = {1: 0}
     order = [1]
     for v in order:
@@ -109,25 +109,17 @@ def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> tuple[PotentialStep
             for u in g.adjacency[w]
             if u != p and position[u] < position[w]
         )
-        steps.append(
-            PotentialStep(
-                vertex=w,
-                parent=p,
-                tree_edge=(p, w) if on_plus else (w, p),
-                sign=1 if on_plus else -1,
-                checks=checks,
-            )
-        )
+        steps.append(PotentialStep(w, p, 1 if on_plus else -1, checks))
     return tuple(steps)
 
 
 def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]:
     """All d in {-1,+1}^n meeting every check, in binary order (-1 before +1).
 
-    Depth-first over the steps, flattened once into (vertex, parent,
-    sign, checks) tuples: d_k fixes the potential of step k's vertex, and
-    its checks against earlier vertices are tested at once.  So a branch
-    is cut at the first edge it violates, and every leaf is a solution.
+    Depth-first over the steps: d_k fixes the potential of step k's
+    vertex, and its checks against earlier vertices are tested at once.
+    So a branch is cut at the first edge it violates, and every leaf is a
+    solution.
     More than ENUMERATION_MAX_FACETS solutions raise TooLarge.
     """
     n = len(steps)
@@ -136,7 +128,6 @@ def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]
             f"sign search guard: n = {n} > {SIGN_SEARCH_MAX_DIM} tree edges; "
             f"the search would try up to 2^{n} sign vectors"
         )
-    plan = [(s.vertex, s.parent, s.sign, s.checks) for s in steps]
     pot = [0] * (n + 2)  # vertices 1..n+1, vertex 1 at 0
     d = [0] * n
     solutions: list[SignVector] = []
@@ -150,7 +141,7 @@ def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]
                     f"for n = {n} tree edges; the search would keep up to 2^{n} of them"
                 )
             return
-        vertex, parent, sign, checks = plan[k]
+        vertex, parent, sign, checks = steps[k]
         for value in (-1, 1):
             f = pot[parent] + sign * value
             for u, gap in checks:
@@ -168,12 +159,11 @@ def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]
 def _facet_from_sign_vector(
     cfg: PointConfiguration,
     b: MaxBipartiteSubgraph,
-    plan: list[tuple[int, int, int]],
+    steps: tuple[PotentialStep, ...],
     d: SignVector,
 ) -> Facet:
-    # plan holds each step's (vertex, parent, sign)
     pot = [0] * (cfg.graph.vertex_count + 1)
-    for (vertex, parent, sign), dk in zip(plan, d):
+    for (vertex, parent, sign, _), dk in zip(steps, d):
         pot[vertex] = pot[parent] + sign * dk
     facet = verify_facet(cfg, pot[2:])
     if tuple([cfg.point_edges[i] for i in facet.point_indices]) != b.edges:
@@ -206,10 +196,9 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
                 f"n = {g.n}, m = {g.m}; the enumeration would build up to "
                 f"2^{g.n} in each of up to 2^{g.n} - 1 classes"
             )
-        plan = [(s.vertex, s.parent, s.sign) for s in steps]
         facets = []
         for d in sign_vectors:
-            facet = _facet_from_sign_vector(cfg, b, plan, d)
+            facet = _facet_from_sign_vector(cfg, b, steps, d)
             if facet.normal in seen_normals:
                 raise InternalInconsistency(
                     f"facet normal {facet.normal} produced by classes "
@@ -261,7 +250,7 @@ def face_properties(
     edges: dict[Edge, DirectedEdge] = {}
     for i, j in directed:
         e = (i, j) if i < j else (j, i)
-        if e not in g.edge_index:
+        if j not in g.adjacency.get(i, ()):
             raise ValidationError(f"point encodes edge {e} not in the graph")
         if e in edges:
             if edges[e] == (i, j):

@@ -39,11 +39,13 @@ def edge_ends(point: Sequence[int]) -> DirectedEdge:
 
     Column c is vertex c + 2, so a lone +1 gives (t, 1), a lone -1 gives
     (1, h) and zero gives (1, 1).  A point that is none of these and not
-    one +1 and one -1 raises ValueError naming it.
+    one +1 and one -1, or that has an entry which is not an int (such as
+    True or 1.0, which equal 1), raises ValueError naming it.
     """
+    ints = all([type(c) is int for c in point])
     plus = point.count(1)
     minus = point.count(-1)
-    if plus > 1 or minus > 1 or plus + minus + point.count(0) != len(point):
+    if not ints or plus > 1 or minus > 1 or plus + minus + point.count(0) != len(point):
         raise ValueError(f"row {tuple(point)} is not a signed edge vector")
     return (point.index(1) + 2 if plus else 1, point.index(-1) + 2 if minus else 1)
 

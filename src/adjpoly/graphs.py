@@ -24,6 +24,9 @@ BIPARTITE_MAX_SUBGRAPHS = 1 << 18
 
 # int() would also take "+1", "1_0" and non-ASCII digits
 _LABEL = re.compile(r"-?[0-9]+")
+# str.splitlines() and str.split() would also split at Unicode separators
+_LINE_END = re.compile(r"\r\n?|\n")
+_TOKEN_GAP = re.compile(r"[ \t]+")
 
 
 class Graph:
@@ -59,7 +62,6 @@ class Graph:
 
         self.vertex_count = vertex_count
         self.edges: tuple[Edge, ...] = tuple(normalized)
-        self.edge_index: dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
         adj: dict[int, list[int]] = {v: [] for v in range(1, vertex_count + 1)}
         for u, v in self.edges:
             adj[u].append(v)
@@ -100,9 +102,11 @@ class Graph:
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse the plain-text edge-list format into a validated Graph.
 
-    One edge per line as two whitespace-separated 1-based integers, each
-    an optional '-' and ASCII digits; blank lines and lines starting with
-    '#' are ignored; N is inferred as the largest label seen.
+    One edge per line as two 1-based integers, each an optional '-' and
+    ASCII digits, separated by spaces or tabs; lines end at \\n, \\r\\n or
+    \\r, and no other character separates lines or labels.  Blank lines
+    and lines starting with '#' are ignored; N is inferred as the largest
+    label seen.
     """
     if isinstance(text, bytes):
         try:
@@ -111,11 +115,11 @@ def parse_edge_list(text: str | bytes) -> Graph:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
     edges = []
     max_label = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
+        tokens = _TOKEN_GAP.split(line)
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
@@ -136,31 +140,20 @@ def parse_edge_list(text: str | bytes) -> Graph:
 
 
 @dataclasses.dataclass(frozen=True)
-class Bipartition:
-    """Nontrivial split of the vertex set, canonicalized so 1 is in plus."""
+class MaxBipartiteSubgraph:
+    """A maximal bipartite subgraph: its two sides and its crossing edges.
+
+    Vertex 1 is in plus.  Maximality forces edges to be exactly the edges
+    of g between plus and minus, and to form a connected spanning subgraph.
+    """
 
     plus: frozenset[int]
     minus: frozenset[int]
-
-
-@dataclasses.dataclass(frozen=True)
-class MaxBipartiteSubgraph:
-    """A maximal bipartite subgraph: a bipartition plus all crossing edges.
-
-    Maximality forces the edge set to be exactly the crossing edges of the
-    bipartition, and the crossing subgraph to be connected and spanning.
-    """
-
-    bipartition: Bipartition
     edges: tuple[Edge, ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.bipartition.plus) + len(self.bipartition.minus)
 
     def cyclomatic_number(self) -> int:
         # connected and spanning, so mu = m - (N - 1)
-        return len(self.edges) - (self.vertex_count - 1)
+        return len(self.edges) - (len(self.plus) + len(self.minus) - 1)
 
 
 def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph]:
@@ -268,9 +261,8 @@ def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph
     results = []
     for plus_mask, cut in found:
         plus = frozenset(compress(range(n_vert + 1), _bits(plus_mask)))
-        bip = Bipartition(plus=plus, minus=vertices - plus)
         crossing = tuple(compress(g.edges, _bits(cut)))
-        results.append(MaxBipartiteSubgraph(bipartition=bip, edges=crossing))
+        results.append(MaxBipartiteSubgraph(plus, vertices - plus, crossing))
     return results
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from adjpoly import Graph, ValidationError, parse_edge_list
 from adjpoly.geometry import PointConfiguration, verify_facet
-from adjpoly.graphs import Bipartition, MaxBipartiteSubgraph
+from adjpoly.graphs import MaxBipartiteSubgraph
 from adjpoly.linalg import primitive, solve_neg_ones
 
 DATA = Path(__file__).parent / "data"
@@ -139,8 +139,7 @@ def scan_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph]:
         if not _connected_spanning(crossing, n_vert):
             continue
         minus = frozenset(g.vertices()) - plus
-        bip = Bipartition(plus=frozenset(plus), minus=minus)
-        results.append(MaxBipartiteSubgraph(bipartition=bip, edges=crossing))
+        results.append(MaxBipartiteSubgraph(frozenset(plus), minus, crossing))
     return results
 
 
@@ -237,9 +236,10 @@ def balanced_on_all_cycles(cycles, directed_edges) -> bool:
 def cyclomatic_number(edge_subset, g: Graph) -> int:
     """|E| - |V touched| + (components of the touched subgraph)."""
     edges = set()
+    graph_edges = set(g.edges)
     for u, v in edge_subset:
         e = (u, v) if u < v else (v, u)
-        if e not in g.edge_index:
+        if e not in graph_edges:
             raise ValidationError(f"edge {e} is not in the graph")
         edges.add(e)
     touched = {v for e in edges for v in e}
@@ -290,7 +290,7 @@ def fundamental_cycle_rows(g: Graph, b: MaxBipartiteSubgraph):
         for w in sorted(adj[v]):
             if w in down:
                 continue
-            oriented.append((v, w) if v in b.bipartition.minus else (w, v))
+            oriented.append((v, w) if v in b.minus else (w, v))
             down[w] = list(down[v])
             down[w][len(oriented) - 1] = 1 if oriented[-1] == (v, w) else -1
             queue.append(w)
@@ -317,9 +317,9 @@ def scan_sign_vectors(g: Graph, b: MaxBipartiteSubgraph) -> list[tuple[int, ...]
     ]
 
 
-def two_color(edges, vertex_count: int) -> Bipartition:
+def two_color(edges, vertex_count: int) -> tuple[frozenset, frozenset]:
     """Oracle: 2-color a connected spanning edge set by BFS from vertex 1,
-    which goes on the plus side."""
+    which goes on the plus side; returns the sides (plus, minus)."""
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
@@ -336,9 +336,9 @@ def two_color(edges, vertex_count: int) -> Bipartition:
                 raise ValueError("edge set is not bipartite")
     if len(color) != vertex_count:
         raise ValueError("edge set is not spanning and connected")
-    return Bipartition(
-        plus=frozenset(v for v, c in color.items() if c == 1),
-        minus=frozenset(v for v, c in color.items() if c == -1),
+    return (
+        frozenset(v for v, c in color.items() if c == 1),
+        frozenset(v for v, c in color.items() if c == -1),
     )
 
 

@@ -103,7 +103,7 @@ class TestJoinedCyclesGraph:
     def test_shared_edge_is_1_2(self):
         for m1, m2 in [(2, 1), (3, 2)]:
             g = joined_cycles_graph(m1, m2)
-            assert (1, 2) in g.edge_index
+            assert (1, 2) in g.edges
             assert g.vertex_count == 2 * m1 + 2 * m2 - 1
             assert g.m == 2 * m1 + 2 * m2
 

@@ -30,7 +30,7 @@ from adjpoly import (
 )
 from adjpoly.counting import cycle_graph
 from adjpoly.geometry import edge_point
-from adjpoly.graphs import Bipartition, MaxBipartiteSubgraph
+from adjpoly.graphs import MaxBipartiteSubgraph
 
 from conftest import (
     all_cycles,
@@ -46,6 +46,13 @@ from conftest import (
     random_connected_graph,
     scan_sign_vectors,
 )
+
+
+def _tree_edge(step):
+    """The step's tree edge, oriented from b's minus side to its plus side."""
+    if step.sign == 1:
+        return (step.parent, step.vertex)
+    return (step.vertex, step.parent)
 
 
 def _subgraph_by_edges(g, edges):
@@ -110,7 +117,7 @@ class TestSignOrderEnds:
             for cls in enumerate_facet_classes(g):
                 ds = enumerate_sign_vectors(build_cycle_system(g, cls.subgraph))
                 assert ds[0] == (-1,) * g.n and ds[-1] == (1,) * g.n
-                plus = cls.subgraph.bipartition.plus
+                plus = cls.subgraph.plus
                 first, last = cls.facets[0], cls.facets[-1]
                 assert all(t in plus and h not in plus for t, h in first.directed_edges)
                 assert all(t not in plus and h in plus for t, h in last.directed_edges)
@@ -122,15 +129,17 @@ class TestCycleSystem:
         g = parse_edge_list("1 2")
         b = enumerate_maximal_bipartite_subgraphs(g)[0]
         (step,) = build_cycle_system(g, b)
+        # a plain (vertex, parent, sign, checks) tuple
+        assert step == (2, 1, -1, ())
         assert (step.vertex, step.parent, step.sign) == (2, 1, -1)
-        assert step.tree_edge == (2, 1)
+        assert _tree_edge(step) == (2, 1)
         assert step.checks == ()
 
     def test_c4_bfs_tree(self):
         # BFS from 1 with ascending neighbors discovers {1,2}, {1,4}, {2,3}
         g = cycle_graph(4)
         steps = build_cycle_system(g, enumerate_maximal_bipartite_subgraphs(g)[0])
-        assert [s.tree_edge for s in steps] == [(2, 1), (4, 1), (2, 3)]
+        assert [_tree_edge(s) for s in steps] == [(2, 1), (4, 1), (2, 3)]
         assert [s.checks for s in steps] == [(), (), ((4, 1),)]
 
     def test_triangle_path_subgraph(self):
@@ -138,7 +147,7 @@ class TestCycleSystem:
         g = cycle_graph(3)
         b = _subgraph_by_edges(g, [(1, 2), (2, 3)])
         steps = build_cycle_system(g, b)
-        assert [s.tree_edge for s in steps] == [(2, 1), (2, 3)]
+        assert [_tree_edge(s) for s in steps] == [(2, 1), (2, 3)]
         assert [s.checks for s in steps] == [(), ((1, 0),)]
 
     def test_joined_cycles_tree_class(self, joined45):
@@ -173,9 +182,8 @@ class TestCycleSystem:
     def test_orientation_runs_minus_to_plus(self, joined45):
         for b in enumerate_maximal_bipartite_subgraphs(joined45):
             for step in build_cycle_system(joined45, b):
-                tail, head = step.tree_edge
-                assert tail in b.bipartition.minus and head in b.bipartition.plus
-                assert step.sign == (1 if step.vertex == head else -1)
+                tail, head = _tree_edge(step)
+                assert tail in b.minus and head in b.plus
 
     def test_tree_is_spanning_and_acyclic_in_bfs_order(self):
         for g in exhaustive_corpus(5):
@@ -188,8 +196,7 @@ class TestCycleSystem:
                 parents = [order.index(s.parent) for s in steps]
                 assert all(p <= k for k, p in enumerate(parents))
                 assert parents == sorted(parents)
-                assert all({s.parent, s.vertex} == set(s.tree_edge) for s in steps)
-                tree = [(min(s.tree_edge), max(s.tree_edge)) for s in steps]
+                tree = [tuple(sorted((s.parent, s.vertex))) for s in steps]
                 assert set(tree) <= set(b.edges)
                 assert cyclomatic_number(tree, g) == 0
 
@@ -205,7 +212,7 @@ class TestCycleSystem:
                     for u, gap in s.checks:
                         assert position[u] < position[s.vertex]
                         checked[(min(u, s.vertex), max(u, s.vertex))] = gap
-                tree = {(min(s.tree_edge), max(s.tree_edge)) for s in steps}
+                tree = {tuple(sorted((s.parent, s.vertex))) for s in steps}
                 assert sum(len(s.checks) for s in steps) == g.m - g.n
                 assert checked == {
                     e: int(e in b.edges) for e in g.edges if e not in tree
@@ -234,10 +241,10 @@ class TestEnumerateSignVectors:
         # tree distance and gap 0 across an odd one cannot be met, so the
         # search must return []; every leaf it returns must meet every check
         path = (
-            PotentialStep(2, 1, (2, 1), -1, ()),
-            PotentialStep(3, 2, (2, 3), 1, ()),
-            PotentialStep(4, 3, (4, 3), -1, ()),
-            PotentialStep(5, 4, (4, 5), 1, ()),
+            PotentialStep(2, 1, -1, ()),
+            PotentialStep(3, 2, 1, ()),
+            PotentialStep(4, 3, -1, ()),
+            PotentialStep(5, 4, 1, ()),
         )
         # (step index, (earlier vertex, gap)): step k sets vertex k + 2
         odd_gap1, even_gap0 = (2, (1, 1)), (3, (3, 0))
@@ -253,9 +260,7 @@ class TestEnumerateSignVectors:
         for checks in cases:
             steps = list(path)
             for k, check in checks:
-                steps[k] = dataclasses.replace(
-                    steps[k], checks=steps[k].checks + (check,)
-                )
+                steps[k] = steps[k]._replace(checks=steps[k].checks + (check,))
             steps = tuple(steps)
             solutions = enumerate_sign_vectors(steps)
             assert solutions == _replay_scan(steps)
@@ -296,10 +301,7 @@ class TestEnumerateSignVectors:
         # allows, so the guard must refuse without printing it
         g = path_graph(20001)
         odd = frozenset(range(1, 20002, 2))
-        b = MaxBipartiteSubgraph(
-            bipartition=Bipartition(plus=odd, minus=frozenset(g.vertices()) - odd),
-            edges=g.edges,
-        )
+        b = MaxBipartiteSubgraph(odd, frozenset(g.vertices()) - odd, g.edges)
         steps = build_cycle_system(g, b)
         assert len(steps) == 20000
         with pytest.raises(TooLarge, match=r"n = 20000 > 30 .* up to 2\^20000 sign"):
@@ -347,7 +349,7 @@ class TestFacetFromSignVector:
                 assert len(ds) == len(cls.facets)
                 for d, facet in zip(ds, cls.facets):
                     for dk, step in zip(d, steps):
-                        oriented = step.tree_edge
+                        oriented = _tree_edge(step)
                         edge = oriented if dk == 1 else oriented[::-1]
                         assert edge in facet.directed_edges
 
@@ -542,12 +544,22 @@ class TestFaceProperties:
             ((1,), "has length 1"),
             ((2, 0, 0), "not a signed edge vector"),
             ((0, 0, 0), "not a signed edge vector"),
+            # True and 1.0 equal 1, so these would read as edge (1, 2)
+            ((True, False, False), "not a signed edge vector"),
+            ((1.0, 0, 0), "not a signed edge vector"),
         ],
-        ids=["second_plus_one", "too_short", "entry_two", "zero"],
+        ids=["second_plus_one", "too_short", "entry_two", "zero", "bools", "float"],
     )
     def test_malformed_point_rejected(self, point, message):
         with pytest.raises(ValidationError, match=message):
             face_properties(complete_graph(4), [point])
+
+    def test_facet_of_another_graph_rejected(self):
+        # every facet of the path 1-..-5 has the point of (4, 5) or (5, 4),
+        # and the path 1-..-4 has no vertex 5
+        for facet in enumerate_all_facets(path_graph(5)):
+            with pytest.raises(ValidationError, match="not in the graph"):
+                face_properties(path_graph(4), facet)
 
     def test_matches_graph_formulas(self, joined45):
         cfg = PointConfiguration(joined45)

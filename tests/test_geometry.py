@@ -156,6 +156,12 @@ class TestIntegerRank:
         with pytest.raises(ValueError, match=re.escape(f"row {bad} is not")):
             [edge_ends(row) for row in rows]
 
+    @pytest.mark.parametrize("row", [(True, False), (1.0, 0), (0, -1.0), (1, False)])
+    def test_non_int_entries_raise(self, row):
+        # True and 1.0 equal 1, so counting alone would read these as edges
+        with pytest.raises(ValueError, match=re.escape(f"row {row} is not")):
+            edge_ends(row)
+
 
 class TestSolveNegOnes:
     @pytest.mark.parametrize(
@@ -277,7 +283,7 @@ class TestVerifyFacet:
             cfg = PointConfiguration(g)
             for facet in enumerate_all_facets(g):
                 edges = [cfg.point_edges[i] for i in facet.point_indices]
-                plus = two_color(edges, g.vertex_count).plus
+                plus, _ = two_color(edges, g.vertex_count)
                 assert _even_vertices(facet.normal) == plus
 
     def test_integer_normals_skip_fractions(self):
@@ -285,7 +291,7 @@ class TestVerifyFacet:
 
     def test_facets_agree_with_their_class(self):
         # a facet holds only its normal and tight points; its subgraph,
-        # bipartition, dim and corank are its class's
+        # sides, dim and corank are its class's
         graphs = list(exhaustive_corpus(5)) + list(n6_sample_graphs().values())
         for g in graphs:
             cfg = PointConfiguration(g)
@@ -296,7 +302,7 @@ class TestVerifyFacet:
                     assert f.directed_edges == tuple(
                         cfg.directed_edges[i] for i in f.point_indices
                     )
-                    assert _even_vertices(f.normal) == b.bipartition.plus
+                    assert _even_vertices(f.normal) == b.plus
                     assert tuple(cfg.point_edges[i] for i in f.point_indices) == b.edges
                     props = face_properties(g, f)
                     assert props.dim == g.n - 1

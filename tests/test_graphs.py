@@ -71,6 +71,10 @@ class TestParseEdgeList:
         g = parse_edge_list("# header\n\n  2   1 \n2 3\n")
         assert g.edges == ((1, 2), (2, 3))
 
+    def test_crlf_cr_and_tabs(self):
+        g = parse_edge_list("1\t2\r\n2 \t 3\r\t3\t4\t\r\n")
+        assert g.edges == ((1, 2), (2, 3), (3, 4))
+
     def test_bytes_input(self):
         assert parse_edge_list(b"1 2\n").m == 1
 
@@ -106,9 +110,23 @@ class TestParseEdgeList:
         with pytest.raises(ValidationError):
             parse_edge_list("# nothing\n")
 
-    # int() alone would read the last three as (1, 2), (10, 2) and (1, 2)
+    # int() alone would read "+1 2", "1_0 2" and "\u0661 \u0662" as (1, 2),
+    # (10, 2) and (1, 2); str.splitlines() and str.split() would read the
+    # next three as edges (1, 2) and (2, 3) and the last as (1, 2)
     @pytest.mark.parametrize(
-        "line", ["1", "1 2 3", "1 two", "+1 2", "1_0 2", "\u0661 \u0662"]
+        "line",
+        [
+            "1",
+            "1 2 3",
+            "1 two",
+            "+1 2",
+            "1_0 2",
+            "\u0661 \u0662",
+            "1 2\u20282 3",
+            "1 2\x1c2 3",
+            b"1 2\xc2\x852 3",
+            "1\xa02",
+        ],
     )
     def test_malformed_line(self, line):
         with pytest.raises(ParseError):

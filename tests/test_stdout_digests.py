@@ -4,8 +4,10 @@ Each command's stdout on the ten named graphs (cycles, a path, Petersen,
 K8, grids and joined cycles) is pinned by its SHA-256 digest, so a change
 that alters a single byte of output fails here.  The graphs are the
 edge lists of the benchmark's `enumerate` workload, written out here so
-that the test does not depend on `bench/`.  A change that means to alter
-the output must update DIGESTS and say why.
+that the test does not depend on `bench/`.  The six graphs of its `scan`
+workload have too many facets to enumerate here, so only `bipartite`
+and `simplicial` are pinned on them.  A change that means to alter the
+output must update DIGESTS or SCAN_DIGESTS and say why.
 """
 
 import hashlib
@@ -52,6 +54,15 @@ GRAPHS = {
     "J3_2": _joined(3, 2),
     "J2_3": _joined(2, 3),
     "J2_2": _joined(2, 2),
+}
+
+SCAN_GRAPHS = {
+    "P15": [(i, i + 1) for i in range(1, 15)],
+    "C15": _cycle(15),
+    "grid3x5": _grid(3, 5),
+    "J4_4": _joined(4, 4),
+    "K12": list(itertools.combinations(range(1, 13), 2)),
+    "K13": list(itertools.combinations(range(1, 14), 2)),
 }
 
 COMMANDS = {
@@ -139,13 +150,41 @@ DIGESTS = {
 }
 
 
+# SHA-256 of stdout, recorded before MaxBipartiteSubgraph took its sides
+# as fields
+SCAN_DIGESTS = {
+    ("P15", "bipartite"): "4ea814325e199e715b7e7ab85314351170ef74f42f5e6ead3da4088a51584297",
+    ("P15", "simplicial"): "fab3934c828d38d863c075f4a5936c873b062632b5467476afa2d1bdce9912ec",
+    ("C15", "bipartite"): "0722a3f8cf7feac281e5cd05338b84125ee4814f5f2f92e80ed2699da3eb2f82",
+    ("C15", "simplicial"): "fab3934c828d38d863c075f4a5936c873b062632b5467476afa2d1bdce9912ec",
+    ("grid3x5", "bipartite"): "21aa7b2d9fb02d72a76f21afc02c34d48e1c90547d4e541303dfe611fcc43fb0",
+    ("grid3x5", "simplicial"): "5a63ea868f0bc02c4748b090538eac18b2d3190eec85a52b783a33e7f1a632e6",
+    ("J4_4", "bipartite"): "653d2a3ec689ff50f008445485cf39def0dbddfc9510bf17a449ec3aabbab278",
+    ("J4_4", "simplicial"): "5a63ea868f0bc02c4748b090538eac18b2d3190eec85a52b783a33e7f1a632e6",
+    ("K12", "bipartite"): "174118ce610d38cc4062cbeea5f27faa53697a0933980b128712155e0601eafe",
+    ("K12", "simplicial"): "5a63ea868f0bc02c4748b090538eac18b2d3190eec85a52b783a33e7f1a632e6",
+    ("K13", "bipartite"): "6cac8933694e7fc25c44890440504a7b44d769f1640f65a80481c8d071e42fd3",
+    ("K13", "simplicial"): "5a63ea868f0bc02c4748b090538eac18b2d3190eec85a52b783a33e7f1a632e6",
+}
+
+
+def _stdout_digest(tmp_path, name, edges, argv):
+    path = tmp_path / f"{name}.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    result = run([argv[0], str(path), *argv[1:]])
+    assert result.exit_code == 0, result.stderr
+    return hashlib.sha256(result.stdout.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("name", GRAPHS)
 def test_stdout_digest(tmp_path, name, command):
-    path = tmp_path / f"{name}.txt"
-    path.write_text("".join(f"{u} {v}\n" for u, v in GRAPHS[name]))
-    argv = COMMANDS[command]
-    result = run([argv[0], str(path), *argv[1:]])
-    assert result.exit_code == 0, result.stderr
-    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    digest = _stdout_digest(tmp_path, name, GRAPHS[name], COMMANDS[command])
     assert digest == DIGESTS[name, command]
+
+
+@pytest.mark.parametrize("command", ["bipartite", "simplicial"])
+@pytest.mark.parametrize("name", SCAN_GRAPHS)
+def test_scan_stdout_digest(tmp_path, name, command):
+    digest = _stdout_digest(tmp_path, name, SCAN_GRAPHS[name], [command])
+    assert digest == SCAN_DIGESTS[name, command]
