@@ -55,8 +55,6 @@ from .graphs import (
     parse_edge_list,
 )
 from .kuramoto import (
-    HomogenizationData,
-    SupportSet,
     facet_subsystem_support,
     homogenization_data,
     homotopy_lift,

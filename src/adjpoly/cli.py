@@ -252,24 +252,20 @@ def _cmd_kuramoto_support(args) -> tuple[int, str]:
         raise _UsageError("--seed requires a support export, not --homogenize")
     g = _load_graph(args.file)
     if args.homogenize:
-        data = kuramoto.homogenization_data(g)
-        text = kuramoto.homogenization_file_text(data, g.n)
-    elif args.facet is not None:
-        all_facets = facets_mod.enumerate_all_facets(g)
-        if not 0 <= args.facet < len(all_facets):
-            raise AdjPolyError(
-                f"--facet {args.facet} out of range 0..{len(all_facets) - 1}"
-            )
-        support = kuramoto.facet_subsystem_support(g, all_facets[args.facet])
-        coeffs = (
-            kuramoto.seeded_coefficients(len(support), args.seed)
-            if args.seed is not None
-            else None
-        )
-        text = kuramoto.support_file_text(support, coefficients=coeffs)
+        rows = kuramoto.homogenization_data(g)
+        text = kuramoto.homogenization_file_text(rows, g.n)
     else:
-        support = kuramoto.unmixed_support(g)
-        lifts = [lift for _, lift in kuramoto.homotopy_lift(support)]
+        if args.facet is not None:
+            all_facets = facets_mod.enumerate_all_facets(g)
+            if not 0 <= args.facet < len(all_facets):
+                raise AdjPolyError(
+                    f"--facet {args.facet} out of range 0..{len(all_facets) - 1}"
+                )
+            support = kuramoto.facet_subsystem_support(g, all_facets[args.facet])
+            lifts = None
+        else:
+            support = kuramoto.unmixed_support(g)
+            lifts = kuramoto.homotopy_lift(support)
         coeffs = (
             kuramoto.seeded_coefficients(len(support), args.seed)
             if args.seed is not None

@@ -100,7 +100,7 @@ def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
     potentials with vertex 1 at 0, so the point of (t, h) takes a_t - a_h
     in O(1); any other entry raises ValueError.  The minimizer set of
     <., normal> must be (n-1)-dimensional, else ZeroNormal or NotAFacet is
-    raised; with a negative minimum that is linear rank n of the tight
+    raised; as the minimum is negative, that is linear rank n of the tight
     points, which `linalg.integer_rank` counts by union-find over their
     edges.  By reflexivity the primitive normal of a facet then attains
     exactly -1 on it and > -1 elsewhere; any other minimum raises
@@ -118,14 +118,12 @@ def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
     pot = (0, 0) + coeffs
     values = [pot[t] - pot[h] for t, h in cfg.directed_edges]
     minimum = min(values)
-    if minimum >= 0:
-        # cannot happen for nonzero normals on a full-dimensional symmetric
-        # configuration, but guard against misuse
-        raise NotAFacet("normal does not attain a negative minimum")
     min_indices = [i for i, v in enumerate(values) if v == minimum]
     tight = [cfg.directed_edges[i] for i in min_indices]
-    # the minimum is < 0, so the tight points lie on a hyperplane that
-    # misses the origin and their affine dimension is their rank - 1
+    # a nonzero normal on a connected graph differs across some edge, and
+    # both orientations of it are points, so the minimum is < 0: the tight
+    # points lie on a hyperplane that misses the origin and their affine
+    # dimension is their rank - 1
     if linalg.integer_rank(tight) != cfg.dim:
         raise NotAFacet(
             f"minimizer set has affine dimension != {cfg.dim - 1}"

@@ -38,11 +38,16 @@ class Graph:
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
+        # bool is an int subclass and 3.0 == 3, so compare types exactly
+        if type(vertex_count) is not int:
+            raise ValidationError(f"vertex count {vertex_count!r} is not an int")
         if vertex_count < 2:
             raise ValidationError(f"need at least 2 vertices, got {vertex_count}")
         normalized = []
         seen = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValidationError(f"edge ({u!r}, {v!r}) has a non-int label")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):

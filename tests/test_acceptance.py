@@ -178,9 +178,10 @@ def test_criterion_8_binomial_identities():
 
 def test_criterion_9_homogenization_soundness(joined45):
     for g in (cycle_graph(4), joined45):
-        data = homogenization_data(g)
-        for vector in unmixed_support(g).vectors:
-            lifted = data.lifted_exponent(vector)
+        rows = homogenization_data(g)
+        for vector in unmixed_support(g):
+            # V.a - h, where h = -1 in every entry by reflexivity
+            lifted = [sum(r * x for r, x in zip(row, vector)) + 1 for row in rows]
             assert min(lifted) >= 0
             if any(vector):
                 assert 0 in lifted

@@ -244,6 +244,21 @@ class TestKuramotoSupport:
             == 1
         )
 
+    @pytest.mark.parametrize("seed", ["-7", str(1 << 64)])
+    @pytest.mark.parametrize("mode", [[], ["--facet", "0"]], ids=["unmixed", "facet"])
+    def test_seed_outside_u64_exits_1(self, c4_file, mode, seed):
+        # random.Random seeds with |seed|: -7 would print seed 7's column
+        result = run(["kuramoto-support", c4_file, *mode, "--seed", seed])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert f"seed {seed} outside 0..2^64-1" in result.stderr
+
+    @pytest.mark.parametrize("seed", ["0", str((1 << 64) - 1)])
+    def test_seed_range_ends_accepted(self, c4_file, seed):
+        result = run(["kuramoto-support", c4_file, "--seed", seed])
+        assert result.exit_code == 0
+        assert all(len(line.split()) == 5 for line in result.stdout.splitlines())
+
     def test_out_file(self, c4_file, tmp_path):
         target = tmp_path / "support.txt"
         result = run(["kuramoto-support", c4_file, "--out", str(target)])

@@ -132,6 +132,21 @@ class TestParseEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list(line)
 
+    # True == 1 and 3.0 == 3, so comparisons alone would let these through
+    @pytest.mark.parametrize(
+        "vertex_count, edges",
+        [
+            (3, [(True, 2), (2, 3), (1, 3)]),
+            (3, [(1, 2), (2, 3.0)]),
+            (3.0, [(1, 2), (2, 3)]),
+            (3, [(1, 2), ("2", 3)]),
+        ],
+        ids=["bool_label", "float_label", "float_count", "str_label"],
+    )
+    def test_non_int_input_rejected(self, vertex_count, edges):
+        with pytest.raises(ValidationError, match="not an int|non-int label"):
+            Graph(vertex_count, edges)
+
     def test_nonpositive_label(self):
         with pytest.raises(ValidationError):
             parse_edge_list("0 1")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from adjpoly import (
+    DomainError,
     InternalInconsistency,
     PointConfiguration,
     enumerate_all_facets,
@@ -30,30 +31,31 @@ K2 = parse_edge_list("1 2")
 
 class TestUnmixedSupport:
     def test_k2(self):
-        assert unmixed_support(K2).vectors == ((-1,), (0,), (1,))
+        assert unmixed_support(K2) == ((-1,), (0,), (1,))
 
     def test_triangle_hexagon_plus_origin(self):
         s = unmixed_support(cycle_graph(3))
         assert len(s) == 7
-        assert (0, 0) in s.vectors
+        assert (0, 0) in s
 
     def test_joined_4_5_has_17(self, joined45):
         assert len(unmixed_support(joined45)) == 17
 
     def test_sorted_lexicographically(self, joined45):
-        vectors = unmixed_support(joined45).vectors
+        vectors = unmixed_support(joined45)
         assert list(vectors) == sorted(vectors)
 
 
 class TestHomotopyLift:
     def test_k2_lifts(self):
-        lifts = [lift for _, lift in homotopy_lift(unmixed_support(K2))]
-        assert lifts == [1, 0, 1]
+        assert homotopy_lift(unmixed_support(K2)) == [1, 0, 1]
 
     def test_zero_exactly_once(self, joined45):
-        lifted = homotopy_lift(unmixed_support(joined45))
-        assert sum(1 for _, lift in lifted if lift == 0) == 1
-        for vector, lift in lifted:
+        support = unmixed_support(joined45)
+        lifts = homotopy_lift(support)
+        assert len(lifts) == len(support)
+        assert lifts.count(0) == 1
+        for vector, lift in zip(support, lifts):
             assert lift == (0 if not any(vector) else 1)
 
 
@@ -61,14 +63,14 @@ class TestFacetSubsystemSupport:
     def test_k2_facet(self):
         facet = enumerate_all_facets(K2)[0]
         support = facet_subsystem_support(K2, facet)
-        assert set(support.vectors) == {facet.points(PointConfiguration(K2))[0], (0,)}
+        assert support == tuple(sorted({facet.points(PointConfiguration(K2))[0], (0,)}))
 
     def test_c4_canonical(self):
         g = cycle_graph(4)
         facet = [f for f in enumerate_all_facets(g) if f.normal == (-1, 0, -1)][0]
         support = facet_subsystem_support(g, facet)
         cfg = PointConfiguration(g)
-        assert set(support.vectors) == set(facet.points(cfg)) | {(0, 0, 0)}
+        assert support == tuple(sorted(set(facet.points(cfg)) | {(0, 0, 0)}))
         assert len(support) == 5
 
     def test_joined_4_5_corank1_has_8(self, joined45):
@@ -86,33 +88,41 @@ class TestFacetSubsystemSupport:
         for facet in enumerate_all_facets(joined45)[:10]:
             subsystem = facet_subsystem_support(joined45, facet)
             origin = (0,) * cfg.dim
-            assert set(subsystem.vectors) - {origin} == set(facet.points(cfg))
+            assert list(subsystem) == sorted(subsystem)
+            assert subsystem.count(origin) == 1
+            assert set(subsystem) - {origin} == set(facet.points(cfg))
+
+
+def _dot(row, point):
+    return sum(r * x for r, x in zip(row, point))
 
 
 class TestHomogenization:
     def test_k2(self):
-        data = homogenization_data(K2)
-        assert data.rows == ((1,), (-1,))
-        assert data.offsets == (-1, -1)
+        rows = homogenization_data(K2)
+        assert rows == ((1,), (-1,))
+        assert homogenization_file_text(rows, 1).splitlines()[-1] == "-1 -1"
 
     def test_c4_all_minima_minus_one(self):
-        data = homogenization_data(cycle_graph(4))
-        assert data.facet_count == 6
-        assert all(len(row) == 3 for row in data.rows)
-        assert data.offsets == (-1,) * 6
+        g = cycle_graph(4)
+        rows = homogenization_data(g)
+        assert len(rows) == 6
+        assert all(len(row) == 3 for row in rows)
+        points = PointConfiguration(g).points
+        assert [min(_dot(row, p) for p in points) for row in rows] == [-1] * 6
 
     def test_rows_follow_enumeration_order(self, joined45):
-        data = homogenization_data(joined45)
+        rows = homogenization_data(joined45)
         normals = tuple(f.normal for f in enumerate_all_facets(joined45))
-        assert data.rows == normals
+        assert rows == normals
 
     @pytest.mark.parametrize("maker", [lambda: cycle_graph(4), None])
     def test_lift_soundness(self, maker, joined45):
+        # V.a - h with h = -1: >= 0, a zero for every point, > 0 at the origin
         g = maker() if maker else joined45
-        data = homogenization_data(g)
-        support = unmixed_support(g)
-        for vector in support.vectors:
-            lifted = data.lifted_exponent(vector)
+        rows = homogenization_data(g)
+        for vector in unmixed_support(g):
+            lifted = [_dot(row, vector) + 1 for row in rows]
             assert min(lifted) >= 0
             if any(vector):
                 assert 0 in lifted
@@ -130,23 +140,23 @@ class TestHomogenization:
             homogenization_data(joined45)
 
     def test_joined_4_5_shape(self, joined45):
-        data = homogenization_data(joined45)
-        assert data.facet_count == 108
-        assert all(len(row) == 6 for row in data.rows)
+        rows = homogenization_data(joined45)
+        assert len(rows) == 108
+        assert all(len(row) == 6 for row in rows)
 
 
 class TestFileFormats:
     def test_support_lines(self):
         s = unmixed_support(K2)
-        text = support_file_text(s, lifts=[lift for _, lift in homotopy_lift(s)])
+        text = support_file_text(s, lifts=homotopy_lift(s))
         assert text == "-1 1\n0 0\n1 1\n"
 
     def test_support_plain(self):
         assert support_file_text(unmixed_support(K2)) == "-1\n0\n1\n"
 
     def test_homogenization_file(self):
-        data = homogenization_data(K2)
-        assert homogenization_file_text(data, 1) == "2 1\n1\n-1\n-1 -1\n"
+        rows = homogenization_data(K2)
+        assert homogenization_file_text(rows, 1) == "2 1\n1\n-1\n-1 -1\n"
 
     def test_coefficient_column(self):
         s = unmixed_support(K2)
@@ -160,3 +170,9 @@ class TestFileFormats:
         for c in seeded_coefficients(50, 123):
             assert isinstance(c, Fraction)
             assert c != 0
+
+    @pytest.mark.parametrize("seed", [-7, -1, 1 << 64])
+    def test_seed_outside_u64_rejected(self, seed):
+        # random.Random seeds with |seed|, so -7 would repeat seed 7's column
+        with pytest.raises(DomainError, match=f"seed {seed} outside 0..2\\^64-1"):
+            seeded_coefficients(3, seed)
