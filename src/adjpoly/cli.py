@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
 
 from . import counting, facets as facets_mod, geometry, kuramoto
 from .errors import AdjPolyError, InternalInconsistency, TooLarge
-from .graphs import Graph, enumerate_maximal_bipartite_subgraphs, parse_edge_list
+from .graphs import (
+    _LABEL,
+    Graph,
+    enumerate_maximal_bipartite_subgraphs,
+    parse_edge_list,
+)
 
 JSON_VERSION = "v1"
 
@@ -58,6 +64,19 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+def _int(text: str) -> int:
+    # the edge-list grammar: int() would also take "1_0", " 3" and non-ASCII digits
+    if not _LABEL.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+# argparse names the type in "invalid int value: 'x'"
+_int.__name__ = "int"
+
+
+# parse_args builds a fresh Namespace per call and never mutates the parser
+@functools.cache
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     # SUPPRESS keeps a subparser's default from clobbering a --quiet that
@@ -97,16 +116,16 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "joined-cycles", parents=[common], help="closed-form joined-cycle counts"
     )
-    p.add_argument("m1", type=int)
-    p.add_argument("m2", type=int)
+    p.add_argument("m1", type=_int)
+    p.add_argument("m2", type=_int)
 
     p = sub.add_parser(
         "kuramoto-support", parents=[common], help="solver support exports"
     )
     p.add_argument("file")
-    p.add_argument("--facet", type=int, default=None, metavar="INDEX")
+    p.add_argument("--facet", type=_int, default=None, metavar="INDEX")
     p.add_argument("--homogenize", action="store_true")
-    p.add_argument("--seed", type=int, default=None, metavar="U64")
+    p.add_argument("--seed", type=_int, default=None, metavar="U64")
     p.add_argument("--out", default=None, metavar="PATH")
 
     return parser
@@ -250,6 +269,8 @@ def _cmd_kuramoto_support(args) -> tuple[int, str]:
         raise _UsageError("--homogenize cannot be combined with --facet")
     if args.homogenize and args.seed is not None:
         raise _UsageError("--seed requires a support export, not --homogenize")
+    if args.seed is not None:
+        kuramoto.check_seed(args.seed)
     g = _load_graph(args.file)
     if args.homogenize:
         rows = kuramoto.homogenization_data(g)

@@ -45,7 +45,11 @@ class Graph:
             raise ValidationError(f"need at least 2 vertices, got {vertex_count}")
         normalized = []
         seen = set()
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge {edge!r} is not a pair") from None
             if type(u) is not int or type(v) is not int:
                 raise ValidationError(f"edge ({u!r}, {v!r}) has a non-int label")
             if u == v:

@@ -88,14 +88,22 @@ def homogenization_file_text(rows: Sequence[Sequence[int]], dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def seeded_coefficients(count: int, seed: int) -> list[Fraction]:
-    """Deterministic nonzero rational coefficients for downstream solvers.
+def check_seed(seed: int) -> None:
+    """Raise DomainError unless the seed lies in 0..2^64-1.
 
-    The seed must lie in 0..2^64-1: random.Random seeds with |seed|, so a
-    negative seed would repeat the column of its absolute value.
+    random.Random seeds with |seed|, so a negative seed would repeat the
+    column of its absolute value.
     """
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed {seed} outside 0..2^64-1")
+
+
+def seeded_coefficients(count: int, seed: int) -> list[Fraction]:
+    """Deterministic nonzero rational coefficients for downstream solvers.
+
+    The seed must pass check_seed.
+    """
+    check_seed(seed)
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import adjpoly
-from adjpoly import graphs
+from adjpoly import cli, graphs
 from adjpoly.cli import run
 
 
@@ -200,6 +201,18 @@ class TestJoinedCycles:
     def test_at_bound(self):
         assert run(["joined-cycles", "3500", "3500"]).exit_code == 0
 
+    # int() takes all but "x"; the edge-list grammar takes none of them
+    @pytest.mark.parametrize(
+        "m1",
+        ["x", "1_0", "\u0663", " 3"],
+        ids=["word", "underscore", "arabic_indic", "space"],
+    )
+    def test_outside_edge_list_grammar(self, m1):
+        result = run(["joined-cycles", m1, "2"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"usage error: argument m1: invalid int value: {m1!r}\n"
+
     @pytest.mark.parametrize("m2", ["6999", "1000000000"])
     def test_over_bound_exits_before_counting(self, m2):
         start = time.perf_counter()
@@ -252,6 +265,25 @@ class TestKuramotoSupport:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert f"seed {seed} outside 0..2^64-1" in result.stderr
+
+    @pytest.mark.parametrize("flag", ["--facet", "--seed"])
+    def test_int_options_outside_edge_list_grammar(self, c4_file, flag):
+        result = run(["kuramoto-support", c4_file, flag, "1_0"])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"usage error: argument {flag}: invalid int value: '1_0'\n"
+        )
+
+    def test_seed_checked_before_graph(self, c4_file, monkeypatch):
+        def no_enumeration(g):
+            raise AssertionError("facets enumerated before the seed check")
+
+        monkeypatch.setattr(cli.facets_mod, "enumerate_all_facets", no_enumeration)
+        result = run(["kuramoto-support", c4_file, "--facet", "0", "--seed", "-7"])
+        assert result.stderr == "error: seed -7 outside 0..2^64-1\n"
+        # before an unreadable file and an out-of-range --facet, too
+        result = run(["kuramoto-support", "/nonexistent", "--facet", "99", "--seed", "-7"])
+        assert result.stderr == "error: seed -7 outside 0..2^64-1\n"
 
     @pytest.mark.parametrize("seed", ["0", str((1 << 64) - 1)])
     def test_seed_range_ends_accepted(self, c4_file, seed):
@@ -333,3 +365,53 @@ class TestErrorsAndFlags:
         assert ok.stderr == ""
         bad = run(["count", "/nonexistent"])
         assert bad.stdout == ""
+
+
+class TestParserReuse:
+    @pytest.fixture()
+    def argvs(self, c4_file):
+        commands = ["facets", "count", "bipartite", "oracle-check", "simplicial"]
+        return [
+            *([command, c4_file] for command in commands),
+            ["joined-cycles", "2", "2"],
+            ["kuramoto-support", c4_file],
+            ["--quiet", "count", c4_file],
+            ["count", c4_file, "--quiet"],
+            ["facets", c4_file, "--json"],
+            ["count", c4_file, "--json"],
+            ["kuramoto-support", c4_file, "--seed", "5"],
+            ["kuramoto-support", c4_file, "--facet", "1"],
+            ["kuramoto-support", c4_file, "--homogenize"],
+            ["--help"],
+            *([command, "--help"] for command in cli._COMMANDS),
+            [],
+            ["frobnicate"],
+            ["count"],
+            ["joined-cycles", "x", "2"],
+            ["kuramoto-support", c4_file, "--homogenize", "--facet", "0"],
+            ["count", c4_file, "--bogus"],
+        ]
+
+    @pytest.fixture()
+    def fresh(self, argvs, monkeypatch):
+        # the reference: each call builds its own parser
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            return {tuple(argv): run(argv) for argv in argvs}
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "interleaved"])
+    def test_equals_fresh_parser(self, argvs, fresh, order):
+        if order == "reversed":
+            argvs = argvs[::-1]
+        elif order == "interleaved":
+            argvs = [a for pair in zip(argvs, argvs[::-1]) for a in pair]
+        for argv in argvs:
+            assert run(argv) == fresh[tuple(argv)], argv
+
+    def test_threads_equal_serial(self, argvs, fresh):
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, argvs * 3))
+        assert results == [fresh[tuple(argv)] for argv in argvs * 3]

@@ -147,6 +147,21 @@ class TestParseEdgeList:
         with pytest.raises(ValidationError, match="not an int|non-int label"):
             Graph(vertex_count, edges)
 
+    @pytest.mark.parametrize(
+        "edges, entry",
+        [
+            ([(1, 2, 3), (2, 3)], "(1, 2, 3)"),
+            ([1, (2, 3)], "1"),
+            ([(1, 2), (3,)], "(3,)"),
+            ([(1, 2), None], "None"),
+        ],
+        ids=["triple", "int", "single", "none"],
+    )
+    def test_edge_not_a_pair_rejected(self, edges, entry):
+        with pytest.raises(ValidationError) as info:
+            Graph(3, edges)
+        assert str(info.value) == f"edge {entry} is not a pair"
+
     def test_nonpositive_label(self):
         with pytest.raises(ValidationError):
             parse_edge_list("0 1")
