@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import InternalInconsistency, NotAFacet, TooLarge, ZeroNormal
-from .graphs import DirectedEdge, Graph
+from .graphs import DirectedEdge, Edge, Graph
 
 Point = tuple[int, ...]
 
@@ -137,18 +137,66 @@ def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
     )
 
 
+def _orientation_walk(tree: Sequence[Edge]) -> Iterator[tuple[int, list[int]]]:
+    """All 2^n orientations of a spanning tree, with their potentials.
+
+    tree holds n edges (i, j), i < j, on vertices 1..n+1 that form a
+    spanning tree.  Yields (mask, pot) once per orientation: bit k of mask
+    is set iff edge k is oriented (j, i), and pot[v] is the potential of
+    vertex v with pot[1] = 0 and pot[t] - pot[h] = -1 on every oriented
+    edge (pot[0] pads the labels).  One `linalg.solve_neg_ones` call gives
+    the potentials of mask 0; the masks then follow the reflected Gray
+    code, one edge flipped per step.  Flipping an edge negates the
+    potential difference across it, so the vertices it cuts off from
+    vertex 1 all move by -2 * (pot[child] - pot[parent]).  pot is one list
+    updated in place: copy it to keep a visit.
+    """
+    n = len(tree)
+    pot = [0, 0, *linalg.solve_neg_ones(tree)]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n + 2)]
+    for k, (u, v) in enumerate(tree):
+        adjacency[u].append((v, k))
+        adjacency[v].append((u, k))
+    # breadth-first from vertex 1, so a vertex's subtree follows it in order
+    order = [1]
+    up: dict[int, tuple[int, int]] = {1: (0, -1)}  # vertex -> (parent, edge)
+    for u in order:
+        for w, k in adjacency[u]:
+            if w not in up:
+                up[w] = (u, k)
+                order.append(w)
+    below = {v: [v] for v in order}
+    flips: dict[int, tuple[int, int, tuple[int, ...]]] = {}  # edge -> its flip
+    for v in reversed(order[1:]):
+        parent, k = up[v]
+        flips[k] = (v, parent, tuple(below[v]))
+        below[parent] += below[v]
+    mask = 0
+    yield mask, pot
+    for step in range(1, 1 << n):
+        k = (step & -step).bit_length() - 1
+        mask ^= 1 << k
+        child, parent, cut_off = flips[k]
+        delta = 2 * (pot[parent] - pot[child])
+        for v in cut_off:
+            pot[v] += delta
+        yield mask, pot
+
+
 def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
     """Independent facet oracle: exhaustive hyperplane search.
 
     For every n-subset of points that spans a hyperplane avoiding the
-    origin, solves <x, a> = -1 exactly and accepts the hyperplane iff the
-    whole configuration lies on the far side.  The points' edges then form
-    a spanning tree, and `linalg.solve_neg_ones` walks it to integer
-    vertex potentials a, as in verify_facet, so the point of (t, h) takes
-    a_t - a_h.  The tree edge at vertex 1 gives a an entry +-1, so a is
-    primitive.  Output is deduplicated by normal and sorted
-    lexicographically by it.  Edge sets of rank < n are skipped before
-    their 2^n orientations are solved.
+    origin, takes the exact solution a of <x, a> = -1 and accepts the
+    hyperplane iff the whole configuration lies on the far side.  Such a
+    subset is one orientation of the edges of a spanning tree, and a is
+    read as vertex potentials, as in verify_facet, so the point of (t, h)
+    takes a_t - a_h.  Edge sets of rank < n are skipped; each spanning
+    tree is solved once by `linalg.solve_neg_ones`, and `_orientation_walk`
+    derives the potentials of all its 2^n orientations from that solution
+    in Gray-code order.  The tree edge at vertex 1 gives a an entry +-1,
+    so a is primitive.  Output is deduplicated by normal and sorted
+    lexicographically by it.
     """
     n = cfg.dim
     m = cfg.graph.m
@@ -156,20 +204,16 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
         raise TooLarge(
             f"oracle guard: dim {n} (bound {BRUTE_FORCE_MAX_DIM}), "
             f"{len(cfg.points)} points (bound {BRUTE_FORCE_MAX_POINTS}); "
-            f"the search would need C({m}, {n}) * 2^{n} solves"
+            f"the search would need C({m}, {n}) edge sets "
+            f"and 2^{n} orientations for each spanning tree"
         )
     found: set[tuple[int, ...]] = set()
-    for edge_combo in itertools.combinations(range(m), n):
+    for tree in itertools.combinations(cfg.graph.edges, n):
         # a sign flip keeps the rank, so a dependent edge set is singular
         # in all 2^n orientations
-        if linalg.integer_rank([cfg.graph.edges[e] for e in edge_combo]) < n:
+        if linalg.integer_rank(tree) < n:
             continue
-        for signs in itertools.product((0, 1), repeat=n):
-            subset = [2 * e + s for e, s in zip(edge_combo, signs)]
-            nums = linalg.solve_neg_ones([cfg.directed_edges[i] for i in subset])
-            if nums is None:
-                continue
-            pot = (0, 0) + nums
+        for _, pot in _orientation_walk(tree):
             if all(pot[t] - pot[h] >= -1 for t, h in cfg.directed_edges):
-                found.add(nums)
+                found.add(tuple(pot[2:]))
     return [verify_facet(cfg, key) for key in sorted(found)]

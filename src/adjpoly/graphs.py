@@ -45,7 +45,11 @@ class Graph:
             raise ValidationError(f"need at least 2 vertices, got {vertex_count}")
         normalized = []
         seen = set()
-        for edge in edges:
+        try:
+            edge_iter = iter(edges)
+        except TypeError:
+            raise ValidationError(f"edge list {edges!r} is not iterable") from None
+        for edge in edge_iter:
             try:
                 u, v = edge
             except (TypeError, ValueError):

@@ -71,6 +71,17 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, itertools.combinations(range(1, n + 1), 2))
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertices numbered row by row from 1."""
+    edges = []
+    for v in range(1, rows * cols + 1):
+        if v % cols:
+            edges.append((v, v + 1))
+        if v + cols <= rows * cols:
+            edges.append((v, v + cols))
+    return Graph(rows * cols, edges)
+
+
 def random_connected_graph(n: int, density: float, rng: random.Random) -> Graph:
     """A random spanning tree on shuffled labels plus each other pair with
     probability density."""

@@ -33,8 +33,10 @@ from adjpoly.counting import cycle_graph
 
 from conftest import (
     all_cycles,
+    complete_graph,
     cyclomatic_number,
     exhaustive_corpus,
+    grid_graph,
     is_bipartite_edges,
     n6_sample_graphs,
     random_connected_graph,
@@ -47,12 +49,20 @@ def _report(number: int, description: str) -> None:
 
 def _oracle_corpus(joined45):
     """Exhaustive labeled N <= 5, the fixed N = 6 sample, the 7-vertex
-    joined-cycle graph, and 12 seeded random graphs with N = 7-8."""
+    joined-cycle graph, 12 seeded random graphs with N = 7-8, and the
+    benchmark's named graphs that fit the oracle guard."""
     return (
         list(exhaustive_corpus(5))
         + list(n6_sample_graphs().values())
         + [joined45]
         + _random_sparse_graphs()
+        + [
+            complete_graph(6),
+            cycle_graph(9),
+            grid_graph(3, 3),
+            joined_cycles_graph(2, 3),
+            joined_cycles_graph(3, 2),
+        ]
     )
 
 

@@ -151,7 +151,10 @@ class TestOracleCheck:
         assert result.exit_code == 2
         assert "guard" in result.stderr
         assert "dim 9 (bound 8)" in result.stderr
-        assert "C(10, 9) * 2^9 solves" in result.stderr
+        assert (
+            "C(10, 9) edge sets and 2^9 orientations for each spanning tree"
+            in result.stderr
+        )
 
 
 class TestPath31:
@@ -169,7 +172,8 @@ class TestPath31:
         assert result.returncode == 2
         assert result.stderr == (
             "guard exceeded: oracle guard: dim 30 (bound 8), 60 points (bound 40); "
-            "the search would need C(30, 30) * 2^30 solves\n"
+            "the search would need C(30, 30) edge sets "
+            "and 2^30 orientations for each spanning tree\n"
         )
 
     @pytest.mark.parametrize("command", ["count", "facets"])

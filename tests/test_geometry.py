@@ -1,5 +1,6 @@
 """Point configurations, facet verification, and the brute-force oracle."""
 
+import itertools
 import math
 import random
 import re
@@ -408,6 +409,23 @@ class TestBruteForceOracle:
             cfg = PointConfiguration(g)
             solves = 0
             facets = brute_force_facets(cfg)
-            # only the spanning trees are independent n-edge sets
-            assert solves == 2**g.n * spanning_tree_count(g), g.edges
+            # only the spanning trees are independent n-edge sets, and
+            # each is solved once for all its 2^n orientations
+            assert solves == spanning_tree_count(g), g.edges
             assert facets == unpruned_brute_force_facets(cfg), g.edges
+
+    def test_orientation_walk_matches_fresh_solves(self):
+        for g in list(exhaustive_corpus(4)) + list(n6_sample_graphs().values()):
+            for tree in itertools.combinations(g.edges, g.n):
+                if integer_rank(tree) < g.n:
+                    continue
+                masks = []
+                for mask, pot in geometry._orientation_walk(tree):
+                    masks.append(mask)
+                    oriented = [
+                        (j, i) if mask >> k & 1 else (i, j)
+                        for k, (i, j) in enumerate(tree)
+                    ]
+                    assert pot[:2] == [0, 0], (tree, mask)
+                    assert tuple(pot[2:]) == solve_neg_ones(oriented), (tree, mask)
+                assert sorted(masks) == list(range(2**g.n)), tree

@@ -162,6 +162,12 @@ class TestParseEdgeList:
             Graph(3, edges)
         assert str(info.value) == f"edge {entry} is not a pair"
 
+    @pytest.mark.parametrize("edges", [5, None], ids=["int", "none"])
+    def test_edge_list_not_iterable_rejected(self, edges):
+        with pytest.raises(ValidationError) as info:
+            Graph(3, edges)
+        assert str(info.value) == f"edge list {edges} is not iterable"
+
     def test_nonpositive_label(self):
         with pytest.raises(ValidationError):
             parse_edge_list("0 1")
