@@ -10,13 +10,8 @@ and exports the support data used by algebraic solvers.
 
 from .counting import (
     FacetCensus,
-    count_sum_two,
-    count_sum_zero,
-    cycle_graph,
-    even_cycle_facet_count,
     facet_census,
     joined_cycles_count,
-    joined_cycles_graph,
 )
 from .errors import (
     AdjPolyError,
@@ -30,16 +25,13 @@ from .errors import (
     ZeroNormal,
 )
 from .facets import (
-    FaceProperties,
     FacetClass,
     PotentialStep,
-    balancing_check,
     build_cycle_system,
     enumerate_all_facets,
     enumerate_facet_classes,
     enumerate_sign_vectors,
     face_properties,
-    is_simplicial,
 )
 from .geometry import (
     Facet,

@@ -1,8 +1,8 @@
-"""Closed-form facet counts and the census that cross-checks them.
+"""The joined-cycles facet formula and the facet census.
 
-The binomial identities count sign vectors of alternating-sum constraints;
-the joined-cycles formula composes them for a graph made of an even and
-an odd cycle sharing one edge.
+The formula counts the facets of a graph made of an even and an odd cycle
+sharing one edge, through binomial counts of alternating sign vectors;
+the census counts the facets of any graph class by class.
 """
 
 from __future__ import annotations
@@ -10,23 +10,9 @@ from __future__ import annotations
 import dataclasses
 from math import comb
 
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError
 from .facets import enumerate_facet_classes
 from .graphs import Graph
-
-
-def count_sum_zero(n: int) -> int:
-    """Number of d in {-1,+1}^(2n) with alternating sum 0: C(2n, n)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return comb(2 * n, n)
-
-
-def count_sum_two(n: int) -> int:
-    """Number of d in {-1,+1}^(2n) with alternating sum 2: C(2n, n-1)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return comb(2 * n, n - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,39 +43,6 @@ def joined_cycles_count(m1: int, m2: int) -> JoinedCycleCounts:
     return JoinedCycleCounts(corank0=corank0, corank1=corank1)
 
 
-def even_cycle_facet_count(k: int) -> int:
-    """Facet count of the configuration of an even cycle C_{2k}: C(2k, k)."""
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    return comb(2 * k, k)
-
-
-def cycle_graph(length: int) -> Graph:
-    """The cycle 1 - 2 - ... - length - 1."""
-    if length < 3:
-        raise DomainError(f"cycle length must be >= 3, got {length}")
-    edges = [(i, i + 1) for i in range(1, length)] + [(1, length)]
-    return Graph(length, edges)
-
-
-def joined_cycles_graph(m1: int, m2: int) -> Graph:
-    """The even/odd joined-cycle graph with a fixed labeling.
-
-    The shared edge is {1, 2}; the even cycle runs 1-2-3-...-(2*m1)-1 and
-    the odd cycle closes 2-(2*m1+1)-...-(2*m1+2*m2-1)-1.
-    """
-    if m1 < 2:
-        raise DomainError(f"m1 must be >= 2, got {m1}")
-    if m2 < 1:
-        raise DomainError(f"m2 must be >= 1, got {m2}")
-    even_n = 2 * m1
-    edges = [(i, i + 1) for i in range(1, even_n)] + [(1, even_n)]
-    outer = list(range(even_n + 1, even_n + 2 * m2))
-    chain = [2] + outer + [1]
-    edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
-    return Graph(even_n + 2 * m2 - 1, edges)
-
-
 @dataclasses.dataclass(frozen=True)
 class ClassRecord:
     corank: int
@@ -117,21 +70,16 @@ class FacetCensus:
 
 
 def facet_census(g: Graph) -> FacetCensus:
-    """Per-class facet counts with the 2^(N-1) class bound asserted."""
-    classes = enumerate_facet_classes(g)
-    class_bound = 1 << g.n
-    records = []
-    total = 0
-    for index, cls in enumerate(classes):
-        size = len(cls.facets)
-        if size > class_bound:
-            raise InternalInconsistency(
-                f"class {index} has {size} facets > {class_bound}"
-            )
-        records.append(ClassRecord(corank=cls.subgraph.cyclomatic_number(), size=size))
-        total += size
+    """Per-class facet counts, their total and its bound beta * 2^(N-1).
+
+    Each facet of a class comes from a distinct sign vector in
+    {-1,+1}^(N-1), so no class exceeds 2^(N-1) facets and the total stays
+    within the bound.
+    """
+    records = tuple(
+        ClassRecord(corank=cls.subgraph.cyclomatic_number(), size=len(cls.facets))
+        for cls in enumerate_facet_classes(g)
+    )
     beta = len(records)
-    bound = beta * class_bound
-    if total > bound:
-        raise InternalInconsistency(f"total {total} exceeds bound {bound}")
-    return FacetCensus(records=tuple(records), beta=beta, total=total, bound=bound)
+    total = sum(r.size for r in records)
+    return FacetCensus(records=records, beta=beta, total=total, bound=beta << g.n)

@@ -15,8 +15,9 @@ every other edge of B and of 0 across every edge of G outside B.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, deque
-from typing import Iterable, NamedTuple
+from collections import Counter
+from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from . import linalg
 from .errors import EmptySubset, InternalInconsistency, TooLarge, ValidationError
@@ -33,7 +34,6 @@ from .graphs import (
     Graph,
     MaxBipartiteSubgraph,
     enumerate_maximal_bipartite_subgraphs,
-    has_even_cycle,
 )
 
 SignVector = tuple[int, ...]
@@ -226,20 +226,25 @@ def face_properties(
     components.  Then dim is rank - 1, corank is |points| - rank,
     independence means the subgraph is a forest (|edges| = rank), and
     circuit means it is one component with every degree 2, a chordless
-    cycle.  A point of the wrong length or that is not a signed edge
-    vector, a repeated point, or points that lie on no common face (such
-    as a point and its negative) raise ValidationError.
+    cycle.  A subset that is not iterable, a point that is not a sequence,
+    has the wrong length or is not a signed edge vector, a repeated point,
+    or points that lie on no common face (such as a point and its
+    negative) raise ValidationError.
     """
     if isinstance(facet_or_point_subset, Facet):
         directed = list(facet_or_point_subset.directed_edges)
     else:
+        if not isinstance(facet_or_point_subset, Iterable):
+            raise ValidationError(f"points {facet_or_point_subset!r} are not iterable")
         directed = []
         for p in facet_or_point_subset:
+            if not isinstance(p, Sequence):
+                raise ValidationError(f"point {p!r} is not a sequence")
             if len(p) != g.n:
                 raise ValidationError(f"point {p} has length {len(p)}, expected {g.n}")
             try:
                 t, h = edge_ends(p)
-            except ValueError:
+            except (TypeError, ValueError):
                 t = h = 1
             if t == h:
                 raise ValidationError(f"{p} is not a signed edge vector")
@@ -295,34 +300,3 @@ def _on_common_face(g: Graph, directed: list[DirectedEdge]) -> bool:
         if not changed:
             return True
     return False
-
-
-def balancing_check(g: Graph, facet: Facet) -> bool:
-    """Every cycle of g meets the directed facet subgraph half and half.
-
-    A directed facet edge (t, h) weighs +1 when walked from t to h and -1
-    when walked back; other edges weigh 0.  A cycle is balanced iff its
-    weights sum to 0.  That sum is linear on the cycle space, which the
-    fundamental cycles of any spanning tree span, so every cycle balances
-    iff the weights are differences of vertex potentials.  One BFS from
-    vertex 1 carries the potentials along its tree and checks every other
-    edge: O(N + m) at any N.
-    """
-    directed = set(facet.directed_edges)
-    potential = {1: 0}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            expected = potential[u] + ((u, v) in directed) - ((v, u) in directed)
-            if v not in potential:
-                potential[v] = expected
-                queue.append(v)
-            elif potential[v] != expected:
-                return False
-    return True
-
-
-def is_simplicial(g: Graph) -> bool:
-    """All facets are simplices iff the graph has no even cycle."""
-    return not has_even_cycle(g)

@@ -67,6 +67,24 @@ def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(1, n)])
 
 
+def cycle_graph(length: int) -> Graph:
+    """The cycle 1 - 2 - ... - length - 1."""
+    return Graph(length, [(i, i + 1) for i in range(1, length)] + [(1, length)])
+
+
+def joined_cycles_graph(m1: int, m2: int) -> Graph:
+    """A 2*m1-cycle and a (2*m2+1)-cycle sharing the edge {1, 2}.
+
+    The even cycle runs 1-2-3-...-(2*m1)-1 and the odd cycle closes
+    2-(2*m1+1)-...-(2*m1+2*m2-1)-1.
+    """
+    even_n = 2 * m1
+    edges = [(i, i + 1) for i in range(1, even_n)] + [(1, even_n)]
+    chain = [2] + list(range(even_n + 1, even_n + 2 * m2)) + [1]
+    edges += list(zip(chain, chain[1:]))
+    return Graph(even_n + 2 * m2 - 1, edges)
+
+
 def complete_graph(n: int) -> Graph:
     return Graph(n, itertools.combinations(range(1, n + 1), 2))
 
@@ -317,14 +335,17 @@ def fundamental_cycle_rows(g: Graph, b: MaxBipartiteSubgraph):
 def scan_sign_vectors(g: Graph, b: MaxBipartiteSubgraph) -> list[tuple[int, ...]]:
     """Oracle: every d in {-1,+1}^n in binary order (-1 before +1), kept if
     each fundamental-cycle row sums to +-1 on d for an edge of b and to 0
-    for an edge outside b."""
+    for an edge outside b.  A row is summed over its nonzero entries only."""
     _, rows = fundamental_cycle_rows(g, b)
     b_edges = set(b.edges)
-    wanted = [(row, (-1, 1) if e in b_edges else (0,)) for e, row in rows.items()]
+    wanted = [
+        ([(k, c) for k, c in enumerate(row) if c], (-1, 1) if e in b_edges else (0,))
+        for e, row in rows.items()
+    ]
     return [
         d
         for d in itertools.product((-1, 1), repeat=g.n)
-        if all(sum(c * x for c, x in zip(row, d)) in ok for row, ok in wanted)
+        if all(sum(c * d[k] for k, c in entries) in ok for entries, ok in wanted)
     ]
 
 

@@ -9,13 +9,11 @@ import itertools
 import json
 import random
 import time
+from math import comb
 
 from adjpoly import (
     PointConfiguration,
-    balancing_check,
     brute_force_facets,
-    count_sum_two,
-    count_sum_zero,
     enumerate_all_facets,
     enumerate_facet_classes,
     enumerate_maximal_bipartite_subgraphs,
@@ -23,21 +21,21 @@ from adjpoly import (
     facet_census,
     has_even_cycle,
     homogenization_data,
-    is_simplicial,
     joined_cycles_count,
-    joined_cycles_graph,
     unmixed_support,
 )
 from adjpoly.cli import run
-from adjpoly.counting import cycle_graph
 
 from conftest import (
     all_cycles,
+    balanced_on_all_cycles,
     complete_graph,
+    cycle_graph,
     cyclomatic_number,
     exhaustive_corpus,
     grid_graph,
     is_bipartite_edges,
+    joined_cycles_graph,
     n6_sample_graphs,
     random_connected_graph,
 )
@@ -112,8 +110,6 @@ def test_criterion_2_oracle_equivalence(joined45):
 
 
 def test_criterion_3_even_cycle_counts():
-    from math import comb
-
     for k, cycle_len in ((2, 4), (3, 6)):
         facets = enumerate_all_facets(cycle_graph(cycle_len))
         assert len(facets) == comb(2 * k, k)
@@ -150,6 +146,7 @@ def test_criterion_6_face_properties(joined45):
     facets_checked = 0
     for g in graphs:
         cfg = PointConfiguration(g)
+        cycles = all_cycles(g)
         for facet in enumerate_all_facets(g):
             edges = [cfg.point_edges[i] for i in facet.point_indices]
             props = face_properties(g, facet)
@@ -157,7 +154,7 @@ def test_criterion_6_face_properties(joined45):
             assert props.independent == (props.corank == 0)
             touched = {v for e in edges for v in e}
             assert props.dim == len(touched) - props.component_count - 1
-            assert balancing_check(g, facet)
+            assert balanced_on_all_cycles(cycles, facet.directed_edges)
             facets_checked += 1
     _report(6, f"corank/dim/independence/balancing hold on {facets_checked} facets")
 
@@ -168,10 +165,8 @@ def test_criterion_7_simplicial_equivalence(joined45):
             cls.subgraph.cyclomatic_number() == 0 for cls in enumerate_facet_classes(g)
         )
         no_even_cycle = not any(len(c) % 2 == 0 for c in all_cycles(g))
-        assert is_simplicial(g) == all_corank0 == no_even_cycle == (
-            not has_even_cycle(g)
-        ), g.edges
-    _report(7, "is_simplicial <=> all facets corank 0 <=> no even cycle")
+        assert all_corank0 == no_even_cycle == (not has_even_cycle(g)), g.edges
+    _report(7, "all facets corank 0 <=> no even cycle <=> not has_even_cycle")
 
 
 def test_criterion_8_binomial_identities():
@@ -181,9 +176,9 @@ def test_criterion_8_binomial_identities():
             value = sum(d[:n]) - sum(d[n:])
             zero += value == 0
             two += value == 2
-        assert count_sum_zero(n) == zero
-        assert count_sum_two(n) == two
-    _report(8, "count_sum_zero/count_sum_two match exhaustive scans for n <= 6")
+        assert comb(2 * n, n) == zero
+        assert comb(2 * n, n - 1) == two
+    _report(8, "C(2n, n) and C(2n, n - 1) match exhaustive scans for n <= 6")
 
 
 def test_criterion_9_homogenization_soundness(joined45):

@@ -7,17 +7,19 @@ import pytest
 
 from adjpoly import (
     DomainError,
-    count_sum_two,
-    count_sum_zero,
-    even_cycle_facet_count,
+    enumerate_all_facets,
     facet_census,
     joined_cycles_count,
-    joined_cycles_graph,
     parse_edge_list,
 )
-from adjpoly.counting import cycle_graph
 
-from conftest import exhaustive_corpus, is_bipartite_edges, n6_sample_graphs
+from conftest import (
+    cycle_graph,
+    exhaustive_corpus,
+    is_bipartite_edges,
+    joined_cycles_graph,
+    n6_sample_graphs,
+)
 
 
 def _alternating_sum_count(n: int, target: int) -> int:
@@ -30,27 +32,13 @@ def _alternating_sum_count(n: int, target: int) -> int:
 
 
 class TestBinomialIdentities:
-    def test_sum_zero_values(self):
-        assert count_sum_zero(1) == 2
-        assert count_sum_zero(2) == 6
-
-    def test_sum_two_values(self):
-        assert count_sum_two(1) == 1
-        assert count_sum_two(2) == 4
-
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sum_zero_against_scan(self, n):
-        assert count_sum_zero(n) == _alternating_sum_count(n, 0)
+        assert comb(2 * n, n) == _alternating_sum_count(n, 0)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sum_two_against_scan(self, n):
-        assert count_sum_two(n) == _alternating_sum_count(n, 2)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            count_sum_zero(0)
-        with pytest.raises(DomainError):
-            count_sum_two(0)
+        assert comb(2 * n, n - 1) == _alternating_sum_count(n, 2)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_vandermonde_identity(self, n):
@@ -109,19 +97,9 @@ class TestJoinedCyclesGraph:
 
 
 class TestEvenCycleCount:
-    def test_values(self):
-        assert even_cycle_facet_count(2) == 6
-        assert even_cycle_facet_count(3) == 20
-
     def test_against_enumeration(self):
-        from adjpoly import enumerate_all_facets
-
-        assert len(enumerate_all_facets(cycle_graph(4))) == even_cycle_facet_count(2)
-        assert len(enumerate_all_facets(cycle_graph(6))) == even_cycle_facet_count(3)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            even_cycle_facet_count(1)
+        for k in (2, 3, 4):
+            assert len(enumerate_all_facets(cycle_graph(2 * k))) == comb(2 * k, k)
 
 
 class TestFacetCensus:

@@ -23,12 +23,12 @@ from adjpoly import (
     verify_facet,
 )
 from adjpoly import geometry, linalg
-from adjpoly.counting import cycle_graph
 from adjpoly.geometry import edge_ends, edge_point
 from adjpoly.linalg import integer_rank, solve_neg_ones
 
 from conftest import (
     complete_graph,
+    cycle_graph,
     exhaustive_corpus,
     fraction_rank,
     fraction_solve_neg_ones,

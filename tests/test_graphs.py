@@ -16,12 +16,12 @@ from adjpoly import (
     has_even_cycle,
     parse_edge_list,
 )
-from adjpoly.counting import cycle_graph
 from adjpoly.geometry import edge_point
 
 from conftest import (
     brute_force_max_bipartite,
     complete_graph,
+    cycle_graph,
     cyclomatic_number,
     exhaustive_corpus,
     fundamental_cycle_rows,

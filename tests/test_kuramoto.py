@@ -18,12 +18,13 @@ from adjpoly import (
     unmixed_support,
 )
 from adjpoly import kuramoto
-from adjpoly.counting import cycle_graph
 from adjpoly.kuramoto import (
     homogenization_file_text,
     seeded_coefficients,
     support_file_text,
 )
+
+from conftest import cycle_graph
 
 
 K2 = parse_edge_list("1 2")
