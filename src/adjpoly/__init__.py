@@ -8,11 +8,7 @@ that correspondence, verifies them against a brute-force geometric oracle,
 and exports the support data used by algebraic solvers.
 """
 
-from .counting import (
-    FacetCensus,
-    facet_census,
-    joined_cycles_count,
-)
+from .counting import facet_census, joined_cycles_count
 from .errors import (
     AdjPolyError,
     DomainError,

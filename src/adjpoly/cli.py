@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import counting, facets as facets_mod, geometry, kuramoto
@@ -193,30 +194,30 @@ def _cmd_facets(args) -> tuple[int, str]:
 
 def _cmd_count(args) -> tuple[int, str]:
     g = _load_graph(args.file)
-    census = counting.facet_census(g)
+    classes = counting.facet_census(g)
+    beta = len(classes)
+    total = sum(size for _, size in classes)
     if args.json:
         doc = {
             "version": JSON_VERSION,
-            "beta": census.beta,
-            "classes": [
-                {"corank": r.corank, "size": r.size} for r in census.records
-            ],
-            "total": census.total,
-            "bound": census.bound,
+            "beta": beta,
+            "classes": [{"corank": c, "size": size} for c, size in classes],
+            "total": total,
+            "bound": beta << g.n,
         }
         return EXIT_OK, json.dumps(doc) + "\n"
-    lines = [f"beta {census.beta}"]
-    for idx, record in enumerate(census.records):
-        lines.append(f"class {idx}: corank={record.corank} size={record.size}")
-    per_corank = census.total_by_corank()
-    per_subgraph = census.subgraphs_by_corank()
-    for corank in sorted(per_corank):
+    lines = [f"beta {beta}"]
+    subgraphs, facets = Counter(), Counter()
+    for idx, (corank, size) in enumerate(classes):
+        lines.append(f"class {idx}: corank={corank} size={size}")
+        subgraphs[corank] += 1
+        facets[corank] += size
+    for corank in sorted(subgraphs):
         lines.append(
-            f"corank {corank}: subgraphs={per_subgraph[corank]} "
-            f"facets={per_corank[corank]}"
+            f"corank {corank}: subgraphs={subgraphs[corank]} facets={facets[corank]}"
         )
-    lines.append(f"total {census.total}")
-    lines.append(f"bound {census.bound}")
+    lines.append(f"total {total}")
+    lines.append(f"bound {beta << g.n}")
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
@@ -258,12 +259,8 @@ def _cmd_joined_cycles(args) -> tuple[int, str]:
             f"(bound {JOINED_CYCLES_MAX_SUM}); the counts would need "
             f"C({2 * args.m1 - 1}, {args.m1}) * C({2 * args.m2}, {args.m2})"
         )
-    counts = counting.joined_cycles_count(args.m1, args.m2)
-    return (
-        EXIT_OK,
-        f"corank0={counts.corank0} corank1={counts.corank1} "
-        f"total={counts.total}\n",
-    )
+    corank0, corank1 = counting.joined_cycles_count(args.m1, args.m2)
+    return EXIT_OK, f"corank0={corank0} corank1={corank1} total={corank0 + corank1}\n"
 
 
 def _cmd_kuramoto_support(args) -> tuple[int, str]:

@@ -98,15 +98,19 @@ def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
 
     The normal a is a sequence of ints (not bools), read as vertex
     potentials with vertex 1 at 0, so the point of (t, h) takes a_t - a_h
-    in O(1); any other entry raises ValueError.  The minimizer set of
-    <., normal> must be (n-1)-dimensional, else ZeroNormal or NotAFacet is
-    raised; as the minimum is negative, that is linear rank n of the tight
-    points, which `linalg.integer_rank` counts by union-find over their
-    edges.  By reflexivity the primitive normal of a facet then attains
-    exactly -1 on it and > -1 elsewhere; any other minimum raises
+    in O(1); any other entry, or a normal that is not iterable, raises
+    ValueError.  The minimizer set of <., normal> must be
+    (n-1)-dimensional, else ZeroNormal or NotAFacet is raised; as the
+    minimum is negative, that is linear rank n of the tight points, which
+    `linalg.integer_rank` counts by union-find over their edges.  By
+    reflexivity the primitive normal of a facet then attains exactly -1
+    on it and > -1 elsewhere; any other minimum raises
     InternalInconsistency.
     """
-    coeffs = tuple(normal)
+    try:
+        coeffs = tuple(normal)
+    except TypeError:
+        raise ValueError(f"normal {normal!r} is not a sequence of ints") from None
     if not all([type(c) is int for c in coeffs]):
         raise ValueError(f"normal {coeffs} has an entry that is not an integer")
     if len(coeffs) != cfg.dim:

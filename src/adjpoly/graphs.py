@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from collections import deque
 from itertools import compress
 from typing import Iterable
 
@@ -34,7 +33,8 @@ class Graph:
 
     The edge list is normalized to (min, max) pairs and kept in
     lexicographic order; every vector in the package is indexed against
-    this order (or against a spanning tree's discovery order).
+    this order (or against a spanning tree's discovery order).  bfs_order
+    lists the vertices breadth-first from vertex 1, ascending neighbours.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
@@ -82,8 +82,16 @@ class Graph:
         self.adjacency: dict[int, tuple[int, ...]] = {
             v: tuple(sorted(ws)) for v, ws in adj.items()
         }
-        if not self._is_connected():
+        order = [1]
+        seen = {1}
+        for v in order:
+            for w in self.adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        if len(order) != vertex_count:
             raise ValidationError("graph is not connected")
+        self.bfs_order: tuple[int, ...] = tuple(order)
 
     @property
     def n(self) -> int:
@@ -96,17 +104,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
-
-    def _is_connected(self) -> bool:
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            v = queue.popleft()
-            for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.vertex_count
 
     def __repr__(self) -> str:
         return f"Graph(N={self.vertex_count}, m={self.m})"
@@ -206,13 +203,8 @@ def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph
     """
     n_vert = g.vertex_count
     last = n_vert - 1
-    order = [1]
-    position = {1: 0}
-    for v in order:
-        for w in g.adjacency[v]:
-            if w not in position:
-                position[w] = len(order)
-                order.append(w)
+    order = g.bfs_order
+    position = {v: i for i, v in enumerate(order)}
     cover = _UnassignedCover(g, order, position)
     # bit v of a vertex bitmask stands for vertex v
     earlier = [0] * (n_vert + 1)
@@ -289,7 +281,7 @@ class _UnassignedCover:
     i follow only the links stamped later than i.
     """
 
-    def __init__(self, g: Graph, order: list[int], position: dict[int, int]):
+    def __init__(self, g: Graph, order: tuple[int, ...], position: dict[int, int]):
         self.adjacency = g.adjacency
         self.position = position
         size = 2 * g.vertex_count + 2

@@ -85,6 +85,14 @@ def joined_cycles_graph(m1: int, m2: int) -> Graph:
     return Graph(even_n + 2 * m2 - 1, edges)
 
 
+def facets_by_corank(census) -> dict[int, int]:
+    """Facet totals per corank of a facet_census result."""
+    out: dict[int, int] = {}
+    for corank, size in census:
+        out[corank] = out.get(corank, 0) + size
+    return out
+
+
 def complete_graph(n: int) -> Graph:
     return Graph(n, itertools.combinations(range(1, n + 1), 2))
 

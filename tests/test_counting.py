@@ -16,6 +16,7 @@ from adjpoly import (
 from conftest import (
     cycle_graph,
     exhaustive_corpus,
+    facets_by_corank,
     is_bipartite_edges,
     joined_cycles_graph,
     n6_sample_graphs,
@@ -49,16 +50,17 @@ class TestBinomialIdentities:
 class TestJoinedCyclesFormula:
     def test_4_5_counts(self):
         counts = joined_cycles_count(2, 2)
-        assert (counts.corank0, counts.corank1, counts.total) == (36, 72, 108)
+        assert counts == (36, 72)
+        assert sum(counts) == 108
 
     def test_4_3_total(self):
-        assert joined_cycles_count(2, 1).total == 24
+        assert sum(joined_cycles_count(2, 1)) == 24
 
     def test_product_form_identity(self):
         # total == (m1 + 2*m2)/2 * C(2*m1, m1) * C(2*m2, m2)
         for m1 in range(2, 7):
             for m2 in range(1, 6):
-                total = joined_cycles_count(m1, m2).total
+                total = sum(joined_cycles_count(m1, m2))
                 assert 2 * total == (m1 + 2 * m2) * comb(2 * m1, m1) * comb(
                     2 * m2, m2
                 )
@@ -69,17 +71,27 @@ class TestJoinedCyclesFormula:
         with pytest.raises(DomainError):
             joined_cycles_count(2, 0)
 
+    # True == 1 and 2.0 == 2: as numbers they would pass the range checks
+    @pytest.mark.parametrize(
+        "m1,m2",
+        [(2.5, 1), (2, True), (True, 2), (2, 1.0), (2.0, 1), ("2", 1)],
+        ids=["m1-2.5", "m2-True", "m1-True", "m2-1.0", "m1-2.0", "m1-str"],
+    )
+    def test_non_int_rejected(self, m1, m2):
+        with pytest.raises(DomainError, match="must be an int"):
+            joined_cycles_count(m1, m2)
+
     # every (m1, m2) whose joined-cycle graph has at most 9 vertices
     @pytest.mark.parametrize(
         "m1,m2", [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1)]
     )
     def test_formula_matches_census_per_corank(self, m1, m2):
-        counts = joined_cycles_count(m1, m2)
+        corank0, corank1 = joined_cycles_count(m1, m2)
         census = facet_census(joined_cycles_graph(m1, m2))
-        by_corank = census.total_by_corank()
-        assert by_corank.get(0, 0) == counts.corank0
-        assert by_corank.get(1, 0) == counts.corank1
-        assert census.total == counts.total
+        by_corank = facets_by_corank(census)
+        assert by_corank.get(0, 0) == corank0
+        assert by_corank.get(1, 0) == corank1
+        assert sum(size for _, size in census) == corank0 + corank1
 
 
 class TestJoinedCyclesGraph:
@@ -104,30 +116,29 @@ class TestEvenCycleCount:
 
 class TestFacetCensus:
     def test_c4(self):
-        census = facet_census(cycle_graph(4))
-        assert census.beta == 1
-        assert [r.size for r in census.records] == [6]
-        assert census.total == 6
-        assert census.bound == 8
+        g = cycle_graph(4)
+        census = facet_census(g)
+        assert census == ((1, 6),)
+        assert len(census) << g.n == 8
 
     def test_k2_bound_tight(self):
-        census = facet_census(parse_edge_list("1 2"))
-        assert census.beta == 1
-        assert [r.size for r in census.records] == [2]
-        assert census.total == census.bound == 2
+        g = parse_edge_list("1 2")
+        census = facet_census(g)
+        assert census == ((0, 2),)
+        assert sum(size for _, size in census) == len(census) << g.n == 2
 
     def test_joined_4_5(self, joined45):
         census = facet_census(joined45)
-        assert census.beta == 7
-        assert sorted(r.size for r in census.records) == [12, 12, 12, 18, 18, 18, 18]
-        assert census.total == 108
-        assert census.bound == 7 * 64
+        assert len(census) == 7
+        assert sorted(size for _, size in census) == [12, 12, 12, 18, 18, 18, 18]
+        assert sum(size for _, size in census) == 108
+        assert len(census) << joined45.n == 7 * 64
 
     def test_totals_are_sums(self):
+        # the total is the sum of the sizes by definition; it stays in the bound
         for g in list(exhaustive_corpus(5))[::17]:
             census = facet_census(g)
-            assert census.total == sum(r.size for r in census.records)
-            assert census.total <= census.bound
+            assert sum(size for _, size in census) <= len(census) << g.n
 
     def test_bipartite_inputs_have_beta_one(self):
         graphs = list(exhaustive_corpus(5)) + list(n6_sample_graphs().values())
@@ -136,7 +147,7 @@ class TestFacetCensus:
             if not is_bipartite_edges(g.edges):
                 continue
             census = facet_census(g)
-            assert census.beta == 1
-            assert census.total <= 1 << g.n
+            assert len(census) == 1
+            assert sum(size for _, size in census) <= 1 << g.n
             checked += 1
         assert checked > 100

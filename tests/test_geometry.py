@@ -259,6 +259,12 @@ class TestVerifyFacet:
         with pytest.raises(ValueError, match=re.escape(f"normal {normal}")):
             verify_facet(cfg, normal)
 
+    @pytest.mark.parametrize("normal", [None, 5])
+    def test_non_iterable_normal_rejected(self, normal):
+        cfg = PointConfiguration(cycle_graph(4))
+        with pytest.raises(ValueError, match=re.escape(f"normal {normal}")):
+            verify_facet(cfg, normal)
+
     def test_supporting_values_exact(self):
         # reflexivity: the primitive normal itself attains -1, no rescaling
         cfg = PointConfiguration(cycle_graph(4))

@@ -90,6 +90,10 @@ class TestParseEdgeList:
         with pytest.raises(ValidationError):
             parse_edge_list("1 2\n3 4")
 
+    def test_bfs_order_from_vertex_1_ascending_neighbours(self):
+        g = parse_edge_list("1 4\n1 3\n3 5\n4 2\n")
+        assert g.bfs_order == (1, 3, 4, 5, 2)
+
     def test_missing_label_means_isolated_vertex(self):
         with pytest.raises(ValidationError):
             parse_edge_list("1 3")
