@@ -38,9 +38,6 @@ EXIT_INPUT = 1
 EXIT_GUARD = 2
 EXIT_INTERNAL = 3
 
-# the counts then stay under Python's 4,300-digit limit for printing an int
-JOINED_CYCLES_MAX_SUM = 7000
-
 
 @dataclasses.dataclass(frozen=True)
 class CommandResult:
@@ -141,18 +138,6 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(data)
 
 
-def _facet_json(
-    facet: geometry.Facet, cfg: geometry.PointConfiguration, corank: int
-) -> dict:
-    return {
-        "normal": list(facet.normal),
-        "points": [list(p) for p in facet.points(cfg)],
-        "subgraph_edges": [list(cfg.point_edges[i]) for i in facet.point_indices],
-        "dim": cfg.dim - 1,
-        "corank": corank,
-    }
-
-
 def _bipartition_lines(b) -> list[str]:
     plus = " ".join(str(v) for v in sorted(b.plus))
     minus = " ".join(str(v) for v in sorted(b.minus))
@@ -161,27 +146,36 @@ def _bipartition_lines(b) -> list[str]:
 
 def _cmd_facets(args) -> tuple[int, str]:
     g = _load_graph(args.file)
-    cfg = geometry.PointConfiguration(g)
     classes = facets_mod.enumerate_facet_classes(g)
     total = sum(len(c.facets) for c in classes)
     coranks = [cls.subgraph.cyclomatic_number() for cls in classes]
     if args.json:
-        doc = {
-            "version": JSON_VERSION,
-            "vertex_count": g.vertex_count,
-            "edge_count": g.m,
-            "classes": [
-                {
-                    "subgraph_index": index,
-                    "class_size": len(cls.facets),
-                    "corank": corank,
-                    "facets": [_facet_json(f, cfg, corank) for f in cls.facets],
-                }
-                for index, (cls, corank) in enumerate(zip(classes, coranks))
-            ],
-            "total": total,
-        }
-        return EXIT_OK, json.dumps(doc) + "\n"
+        cfg = geometry.PointConfiguration(g)
+        # every value is an int and every key fixed ASCII, so str(int) is its
+        # JSON text and these f-strings give json.dumps(doc)'s bytes; each
+        # point and its edge are encoded once per graph, not once per facet
+        points = [json.dumps(p) for p in cfg.points]
+        edges = [json.dumps(e) for e in cfg.point_edges]
+        class_texts = []
+        for index, (cls, corank) in enumerate(zip(classes, coranks)):
+            tail = f'], "dim": {cfg.dim - 1}, "corank": {corank}}}'
+            facet_texts = [
+                f'{{"normal": [{", ".join(map(str, f.normal))}], "points": ['
+                + ", ".join([points[i] for i in f.point_indices])
+                + '], "subgraph_edges": ['
+                + ", ".join([edges[i] for i in f.point_indices])
+                + tail
+                for f in cls.facets
+            ]
+            class_texts.append(
+                f'{{"subgraph_index": {index}, "class_size": {len(cls.facets)}, '
+                f'"corank": {corank}, "facets": [{", ".join(facet_texts)}]}}'
+            )
+        return EXIT_OK, (
+            f'{{"version": "{JSON_VERSION}", "vertex_count": {g.vertex_count}, '
+            f'"edge_count": {g.m}, "classes": [{", ".join(class_texts)}], '
+            f'"total": {total}}}\n'
+        )
     lines = [f"graph: N={g.vertex_count} m={g.m}"]
     for index, (cls, corank) in enumerate(zip(classes, coranks)):
         lines.append(f"class {index}: corank={corank} size={len(cls.facets)}")
@@ -252,13 +246,6 @@ def _cmd_simplicial(args) -> tuple[int, str]:
 
 
 def _cmd_joined_cycles(args) -> tuple[int, str]:
-    # joined_cycles_count rejects out-of-domain input at once: exit 1 at any size
-    if args.m1 >= 2 and args.m2 >= 1 and args.m1 + args.m2 > JOINED_CYCLES_MAX_SUM:
-        raise TooLarge(
-            f"joined-cycles guard: m1 + m2 = {args.m1 + args.m2} "
-            f"(bound {JOINED_CYCLES_MAX_SUM}); the counts would need "
-            f"C({2 * args.m1 - 1}, {args.m1}) * C({2 * args.m2}, {args.m2})"
-        )
     corank0, corank1 = counting.joined_cycles_count(args.m1, args.m2)
     return EXIT_OK, f"corank0={corank0} corank1={corank1} total={corank0 + corank1}\n"
 

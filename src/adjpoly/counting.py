@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, TooLarge
 from .facets import enumerate_facet_classes
 from .graphs import Graph
+
+# the counts then stay under Python's 4,300-digit limit for printing an int
+JOINED_CYCLES_MAX_SUM = 7000
 
 
 def joined_cycles_count(m1: int, m2: int) -> tuple[int, int]:
@@ -24,6 +27,8 @@ def joined_cycles_count(m1: int, m2: int) -> tuple[int, int]:
     C(2*m1-2, m1-1) * C(2*m2, m2); corank-1 classes are the 2*m2 subgraphs
     keeping the even cycle, each of size C(2*m1-1, m1) * C(2*m2, m2).
     m1 and m2 must be ints (not bools); anything else raises DomainError.
+    A pair in the domain with m1 + m2 > JOINED_CYCLES_MAX_SUM raises
+    TooLarge before any binomial is computed.
     """
     # bool is an int subclass and 2.0 == 2, so compare types exactly
     for name, value in (("m1", m1), ("m2", m2)):
@@ -33,6 +38,12 @@ def joined_cycles_count(m1: int, m2: int) -> tuple[int, int]:
         raise DomainError(f"m1 must be >= 2, got {m1}")
     if m2 < 1:
         raise DomainError(f"m2 must be >= 1, got {m2}")
+    if m1 + m2 > JOINED_CYCLES_MAX_SUM:
+        raise TooLarge(
+            f"joined-cycles guard: m1 + m2 = {m1 + m2} "
+            f"(bound {JOINED_CYCLES_MAX_SUM}); the counts would need "
+            f"C({2 * m1 - 1}, {m1}) * C({2 * m2}, {m2})"
+        )
     odd_factor = comb(2 * m2, m2)
     corank0 = (2 * m1 - 1) * comb(2 * m1 - 2, m1 - 1) * odd_factor
     corank1 = (2 * m2) * comb(2 * m1 - 1, m1) * odd_factor

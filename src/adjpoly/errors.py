@@ -22,7 +22,7 @@ class NotAFacet(AdjPolyError):
 
 
 class TooLarge(AdjPolyError):
-    """Input exceeds a guard rail of an exhaustive-search routine."""
+    """Input exceeds a guard rail on the work or the size of an answer."""
 
 
 class InternalInconsistency(AdjPolyError):

@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import adjpoly
-from adjpoly import cli, graphs
+from adjpoly import cli, geometry, graphs
 from adjpoly.cli import run
+from adjpoly.facets import enumerate_facet_classes
+
+from conftest import exhaustive_corpus, n6_sample_graphs
 
 
 def _adjpoly(*argv):
@@ -89,6 +92,66 @@ class TestFacets:
         second = run(["facets", joined45_file, "--json"])
         assert first.stdout.encode() == second.stdout.encode()
         assert first.exit_code == second.exit_code == 0
+
+
+def _facets_doc(g: graphs.Graph) -> dict:
+    """The `facets --json` document as nested dicts and lists."""
+    cfg = geometry.PointConfiguration(g)
+    classes = enumerate_facet_classes(g)
+    doc_classes = []
+    for index, cls in enumerate(classes):
+        corank = cls.subgraph.cyclomatic_number()
+        facet_docs = [
+            {
+                "normal": list(f.normal),
+                "points": [list(p) for p in f.points(cfg)],
+                "subgraph_edges": [list(cfg.point_edges[i]) for i in f.point_indices],
+                "dim": cfg.dim - 1,
+                "corank": corank,
+            }
+            for f in cls.facets
+        ]
+        doc_classes.append(
+            {
+                "subgraph_index": index,
+                "class_size": len(cls.facets),
+                "corank": corank,
+                "facets": facet_docs,
+            }
+        )
+    return {
+        "version": "v1",
+        "vertex_count": g.vertex_count,
+        "edge_count": g.m,
+        "classes": doc_classes,
+        "total": sum(len(cls.facets) for cls in classes),
+    }
+
+
+class TestFacetsJsonWriter:
+    """`facets --json` writes its text directly; it must equal json.dumps."""
+
+    @pytest.fixture(params=["n_le_5", "n6_sample", "joined_4_5"])
+    def graph_files(self, request, tmp_path, joined45_path):
+        if request.param == "joined_4_5":
+            return [joined45_path]
+        if request.param == "n_le_5":
+            corpus = exhaustive_corpus(5)
+        else:
+            corpus = n6_sample_graphs().values()
+        files = []
+        for k, g in enumerate(corpus):
+            path = tmp_path / f"g{k}.txt"
+            path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+            files.append(path)
+        return files
+
+    def test_equals_json_dumps(self, graph_files):
+        for path in graph_files:
+            g = graphs.parse_edge_list(path.read_bytes())
+            result = run(["facets", str(path), "--json"])
+            assert result.exit_code == 0, result.stderr
+            assert result.stdout == json.dumps(_facets_doc(g)) + "\n", path.name
 
 
 class TestBipartiteAndSimplicial:

@@ -7,6 +7,7 @@ import pytest
 
 from adjpoly import (
     DomainError,
+    TooLarge,
     enumerate_all_facets,
     facet_census,
     joined_cycles_count,
@@ -70,6 +71,11 @@ class TestJoinedCyclesFormula:
             joined_cycles_count(1, 1)
         with pytest.raises(DomainError):
             joined_cycles_count(2, 0)
+
+    # m1 + m2 = 7001: C(6999, 3500) * C(7002, 3501) would pass 4,300 digits
+    def test_over_bound_raises_too_large(self):
+        with pytest.raises(TooLarge, match=r"m1 \+ m2 = 7001 \(bound 7000\)"):
+            joined_cycles_count(3500, 3501)
 
     # True == 1 and 2.0 == 2: as numbers they would pass the range checks
     @pytest.mark.parametrize(
