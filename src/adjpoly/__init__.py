@@ -12,7 +12,6 @@ from .counting import facet_census, joined_cycles_count
 from .errors import (
     AdjPolyError,
     DomainError,
-    EmptySubset,
     InternalInconsistency,
     NotAFacet,
     ParseError,
@@ -22,12 +21,10 @@ from .errors import (
 )
 from .facets import (
     FacetClass,
-    PotentialStep,
     build_cycle_system,
     enumerate_all_facets,
     enumerate_facet_classes,
     enumerate_sign_vectors,
-    face_properties,
 )
 from .geometry import (
     Facet,

@@ -29,9 +29,5 @@ class InternalInconsistency(AdjPolyError):
     """A cross-check that must hold by construction failed; indicates a bug."""
 
 
-class EmptySubset(AdjPolyError):
-    """An operation on point subsets received an empty subset."""
-
-
 class DomainError(AdjPolyError):
     """Counting formula evaluated outside its domain."""

@@ -15,59 +15,14 @@ every other edge of B and of 0 across every edge of G outside B.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
-from collections.abc import Iterable, Sequence
-from typing import NamedTuple
 
-from . import linalg
-from .errors import EmptySubset, InternalInconsistency, TooLarge, ValidationError
-from .geometry import (
-    Facet,
-    Point,
-    PointConfiguration,
-    edge_ends,
-    verify_facet,
-)
-from .graphs import (
-    DirectedEdge,
-    Edge,
-    Graph,
-    MaxBipartiteSubgraph,
-    enumerate_maximal_bipartite_subgraphs,
-)
-
-SignVector = tuple[int, ...]
+from .errors import InternalInconsistency, TooLarge
+from .geometry import Facet, PointConfiguration, verify_facet
+from .graphs import Graph, MaxBipartiteSubgraph, enumerate_maximal_bipartite_subgraphs
 
 SIGN_SEARCH_MAX_DIM = 30
 # above every facet count in the tests and the benchmark (J(4,5): 123,480)
 ENUMERATION_MAX_FACETS = 1 << 18
-
-
-class PotentialStep(NamedTuple):
-    """One vertex of b's BFS tree: f(vertex) = f(parent) + sign * d_k.
-
-    sign is +1 when vertex is in b.plus and -1 when it is in b.minus, so
-    the tree edge oriented from minus to plus is (parent, vertex) when
-    sign is +1 and (vertex, parent) otherwise; d_k = +1 puts it among the
-    facet's directed edges and d_k = -1 puts its reverse there.  checks
-    holds (u, gap) for every other edge of g from vertex to an earlier
-    vertex u: |f(vertex) - f(u)| must be gap, 1 on edges of b and 0 on
-    the other edges of g.
-    """
-
-    vertex: int
-    parent: int
-    sign: int
-    checks: tuple[tuple[int, int], ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class FaceProperties:
-    dim: int
-    corank: int
-    independent: bool
-    circuit: bool
-    component_count: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,12 +39,20 @@ class FacetClass:
     facets: tuple[Facet, ...]
 
 
-def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> tuple[PotentialStep, ...]:
+def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> tuple[tuple, ...]:
     """The steps of b's BFS tree from vertex 1, ascending neighbours first.
 
-    The edges of b are the edges of g between b.plus and b.minus, so the
-    BFS follows them, and an edge to an earlier vertex needs a potential
-    gap of 1 exactly when it crosses.
+    Each step is a plain tuple (vertex, parent, sign, checks) for one
+    vertex of the tree: f(vertex) = f(parent) + sign * d_k.  sign is +1
+    when vertex is in b.plus and -1 when it is in b.minus, so the tree
+    edge oriented from minus to plus is (parent, vertex) when sign is +1
+    and (vertex, parent) otherwise; d_k = +1 puts it among the facet's
+    directed edges and d_k = -1 puts its reverse there.  checks holds
+    (u, gap) for every other edge of g from vertex to an earlier vertex u:
+    |f(vertex) - f(u)| must be gap, 1 on edges of b and 0 on the other
+    edges of g.  The edges of b are the edges of g between b.plus and
+    b.minus, so the BFS follows them, and an edge to an earlier vertex
+    needs a gap of 1 exactly when it crosses.
     """
     plus = b.plus
     parent = {1: 0}
@@ -109,11 +72,11 @@ def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> tuple[PotentialStep
             for u in g.adjacency[w]
             if u != p and position[u] < position[w]
         )
-        steps.append(PotentialStep(w, p, 1 if on_plus else -1, checks))
+        steps.append((w, p, 1 if on_plus else -1, checks))
     return tuple(steps)
 
 
-def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]:
+def enumerate_sign_vectors(steps: tuple[tuple, ...]) -> list[tuple[int, ...]]:
     """All d in {-1,+1}^n meeting every check, in binary order (-1 before +1).
 
     Depth-first over the steps: d_k fixes the potential of step k's
@@ -130,7 +93,7 @@ def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]
         )
     pot = [0] * (n + 2)  # vertices 1..n+1, vertex 1 at 0
     d = [0] * n
-    solutions: list[SignVector] = []
+    solutions: list[tuple[int, ...]] = []
 
     def extend(k: int) -> None:
         if k == n:
@@ -159,8 +122,8 @@ def enumerate_sign_vectors(steps: tuple[PotentialStep, ...]) -> list[SignVector]
 def _facet_from_sign_vector(
     cfg: PointConfiguration,
     b: MaxBipartiteSubgraph,
-    steps: tuple[PotentialStep, ...],
-    d: SignVector,
+    steps: tuple[tuple, ...],
+    d: tuple[int, ...],
 ) -> Facet:
     pot = [0] * (cfg.graph.vertex_count + 1)
     for (vertex, parent, sign, _), dk in zip(steps, d):
@@ -214,89 +177,3 @@ def enumerate_all_facets(g: Graph) -> list[Facet]:
     """Every facet of the configuration, grouped by facet subgraph."""
     return [f for cls in enumerate_facet_classes(g) for f in cls.facets]
 
-
-def face_properties(
-    g: Graph, facet_or_point_subset: Facet | Iterable[Point]
-) -> FaceProperties:
-    """Geometric properties of a subset of a facet, read off its subgraph.
-
-    Each point is read as the directed edge `geometry.edge_ends` decodes.
-    The points' rank is the rank of their edges, which
-    `linalg.integer_rank` counts as |V touched| - k for a subgraph in k
-    components.  Then dim is rank - 1, corank is |points| - rank,
-    independence means the subgraph is a forest (|edges| = rank), and
-    circuit means it is one component with every degree 2, a chordless
-    cycle.  A subset that is not iterable, a point that is not a sequence,
-    has the wrong length or is not a signed edge vector, a repeated point,
-    or points that lie on no common face (such as a point and its
-    negative) raise ValidationError.
-    """
-    if isinstance(facet_or_point_subset, Facet):
-        directed = list(facet_or_point_subset.directed_edges)
-    else:
-        if not isinstance(facet_or_point_subset, Iterable):
-            raise ValidationError(f"points {facet_or_point_subset!r} are not iterable")
-        directed = []
-        for p in facet_or_point_subset:
-            if not isinstance(p, Sequence):
-                raise ValidationError(f"point {p!r} is not a sequence")
-            if len(p) != g.n:
-                raise ValidationError(f"point {p} has length {len(p)}, expected {g.n}")
-            try:
-                t, h = edge_ends(p)
-            except (TypeError, ValueError):
-                t = h = 1
-            if t == h:
-                raise ValidationError(f"{p} is not a signed edge vector")
-            directed.append((t, h))
-    if not directed:
-        raise EmptySubset("point subset is empty")
-
-    edges: dict[Edge, DirectedEdge] = {}
-    for i, j in directed:
-        e = (i, j) if i < j else (j, i)
-        if j not in g.adjacency.get(i, ()):
-            raise ValidationError(f"point encodes edge {e} not in the graph")
-        if e in edges:
-            if edges[e] == (i, j):
-                raise ValidationError(f"repeated point of edge {(i, j)}")
-            raise ValidationError(f"points of both orientations of edge {e}")
-        edges[e] = (i, j)
-    if not isinstance(facet_or_point_subset, Facet) and not _on_common_face(
-        g, directed
-    ):
-        raise ValidationError("the points lie on no common face")
-    rank = linalg.integer_rank(edges)
-    degree = Counter(v for e in edges for v in e)
-    component_count = len(degree) - rank
-    return FaceProperties(
-        dim=rank - 1,
-        corank=len(directed) - rank,
-        independent=len(edges) == rank,
-        circuit=component_count == 1 and all(d == 2 for d in degree.values()),
-        component_count=component_count,
-    )
-
-
-def _on_common_face(g: Graph, directed: list[DirectedEdge]) -> bool:
-    """Whether the points of the directed edges lie on one proper face.
-
-    They do iff some potentials f satisfy f(h) - f(t) = 1 on every given
-    (t, h) and |f(u) - f(v)| <= 1 on every edge, since every face lies on
-    a hyperplane <x, a> = -1 supporting the polytope.  These difference
-    constraints are feasible iff their graph has no negative cycle, which
-    Bellman-Ford decides in O(N m) integer steps.
-    """
-    # arc (u, v, w) encodes f(v) - f(u) <= w
-    arcs = [(u, v, 1) for u, v in g.edges] + [(v, u, 1) for u, v in g.edges]
-    arcs += [(h, t, -1) for t, h in directed]
-    dist = [0] * (g.vertex_count + 1)
-    for _ in range(g.vertex_count):
-        changed = False
-        for u, v, w in arcs:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                changed = True
-        if not changed:
-            return True
-    return False

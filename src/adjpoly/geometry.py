@@ -3,9 +3,9 @@
 The configuration of a graph G on vertices 1..N is the set of vectors
 +-(e_{i-1} - e_{j-1}) in R^(N-1), one pair per edge {i,j}, with e_0 = 0
 (vertex 1's axis is projected out).  Inside the package a point travels
-as the directed edge it encodes: `edge_point` encodes one for output and
-`edge_ends` decodes one from input.  All facet decisions are made in
-exact integer arithmetic; no floating point is used anywhere.
+as the directed edge it encodes, and `edge_point` encodes one for output.
+All facet decisions are made in exact integer arithmetic; no floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -32,22 +32,6 @@ def edge_point(n: int, tail: int, head: int) -> Point:
     if head > 1:
         coords[head - 2] -= 1
     return tuple(coords)
-
-
-def edge_ends(point: Sequence[int]) -> DirectedEdge:
-    """The directed edge (tail, head) a point encodes; `edge_point`'s inverse.
-
-    Column c is vertex c + 2, so a lone +1 gives (t, 1), a lone -1 gives
-    (1, h) and zero gives (1, 1).  A point that is none of these and not
-    one +1 and one -1, or that has an entry which is not an int (such as
-    True or 1.0, which equal 1), raises ValueError naming it.
-    """
-    ints = all([type(c) is int for c in point])
-    plus = point.count(1)
-    minus = point.count(-1)
-    if not ints or plus > 1 or minus > 1 or plus + minus + point.count(0) != len(point):
-        raise ValueError(f"row {tuple(point)} is not a signed edge vector")
-    return (point.index(1) + 2 if plus else 1, point.index(-1) + 2 if minus else 1)
 
 
 class PointConfiguration:

