@@ -257,6 +257,8 @@ def _cmd_kuramoto_support(args) -> tuple[int, str]:
         raise _UsageError("--seed requires a support export, not --homogenize")
     if args.seed is not None:
         kuramoto.check_seed(args.seed)
+    if args.facet is not None and args.facet < 0:
+        raise AdjPolyError(f"--facet {args.facet} must be >= 0")
     g = _load_graph(args.file)
     if args.homogenize:
         rows = kuramoto.homogenization_data(g)

@@ -119,23 +119,6 @@ def enumerate_sign_vectors(steps: tuple[tuple, ...]) -> list[tuple[int, ...]]:
     return solutions
 
 
-def _facet_from_sign_vector(
-    cfg: PointConfiguration,
-    b: MaxBipartiteSubgraph,
-    steps: tuple[tuple, ...],
-    d: tuple[int, ...],
-) -> Facet:
-    pot = [0] * (cfg.graph.vertex_count + 1)
-    for (vertex, parent, sign, _), dk in zip(steps, d):
-        pot[vertex] = pot[parent] + sign * dk
-    facet = verify_facet(cfg, pot[2:])
-    if tuple([cfg.point_edges[i] for i in facet.point_indices]) != b.edges:
-        raise InternalInconsistency(
-            "facet subgraph does not match the generating bipartite subgraph"
-        )
-    return facet
-
-
 def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
     """Facet classes grouped by maximal bipartite subgraph.
 
@@ -146,6 +129,8 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
     facets are built.
     """
     cfg = PointConfiguration(g)
+    # every step sets its vertex, so one potential list serves every facet
+    pot = [0] * (g.vertex_count + 1)
     seen_normals: dict[tuple[int, ...], int] = {}
     classes = []
     total = 0
@@ -161,7 +146,13 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
             )
         facets = []
         for d in sign_vectors:
-            facet = _facet_from_sign_vector(cfg, b, steps, d)
+            for (vertex, parent, sign, _), dk in zip(steps, d):
+                pot[vertex] = pot[parent] + sign * dk
+            facet = verify_facet(cfg, pot[2:])
+            if tuple([cfg.point_edges[i] for i in facet.point_indices]) != b.edges:
+                raise InternalInconsistency(
+                    "facet subgraph does not match the generating bipartite subgraph"
+                )
             if facet.normal in seen_normals:
                 raise InternalInconsistency(
                     f"facet normal {facet.normal} produced by classes "

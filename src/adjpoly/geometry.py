@@ -86,9 +86,9 @@ def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
     ValueError.  The minimizer set of <., normal> must be
     (n-1)-dimensional, else ZeroNormal or NotAFacet is raised; as the
     minimum is negative, that is linear rank n of the tight points, which
-    `linalg.integer_rank` counts by union-find over their edges.  By
-    reflexivity the primitive normal of a facet then attains exactly -1
-    on it and > -1 elsewhere; any other minimum raises
+    `linalg.integer_rank` counts by merging the components of their
+    edges.  By reflexivity the primitive normal of a facet then attains
+    exactly -1 on it and > -1 elsewhere; any other minimum raises
     InternalInconsistency.
     """
     try:
@@ -104,10 +104,11 @@ def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
     coeffs = linalg.primitive(coeffs)
 
     pot = (0, 0) + coeffs
-    values = [pot[t] - pot[h] for t, h in cfg.directed_edges]
+    edges = cfg.directed_edges
+    values = [pot[t] - pot[h] for t, h in edges]
     minimum = min(values)
     min_indices = [i for i, v in enumerate(values) if v == minimum]
-    tight = [cfg.directed_edges[i] for i in min_indices]
+    tight = [edges[i] for i in min_indices]
     # a nonzero normal on a connected graph differs across some edge, and
     # both orientations of it are points, so the minimum is < 0: the tight
     # points lie on a hyperplane that misses the origin and their affine

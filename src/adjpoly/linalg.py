@@ -2,9 +2,9 @@
 
 Every configuration point is a signed edge vector, a column of a signed
 incidence matrix, so this module takes a set of points as their (t, h)
-vertex pairs.  Their rank is counted by union-find (the graphic matroid),
-and a square system is solved by walking its edges, which form a spanning
-tree exactly when it is nonsingular.  Only integers are used.
+vertex pairs.  Their rank is counted by merging components (the graphic
+matroid), and a square system is solved by walking its edges, which form
+a spanning tree exactly when it is nonsingular.  Only integers are used.
 """
 
 from __future__ import annotations
@@ -16,22 +16,38 @@ from typing import Collection, Sequence
 def integer_rank(edges: Collection[tuple[int, int]]) -> int:
     """Rank over the rationals of the signed edge vectors of edges.
 
-    Each (u, v) is a pair of vertex labels (non-negative integers).  Edge
-    vectors form a graphic matroid, so the rank is the number of edges
-    that join two union-find components, whatever their orientation or
-    repeats, in time linear in the edges; a loop (u, u), the zero vector,
-    adds nothing.
+    Each (u, v) is a pair of vertex labels, any ints, used as dict keys.
+    Edge vectors form a graphic matroid, so the rank counts the edges that
+    join two components, whatever their orientation or repeats; a loop
+    (u, u), the zero vector, adds nothing.  Each vertex maps to its
+    component's vertex list, and a join moves the smaller list into the
+    larger, so each vertex moves O(log k) times and k edges cost O(k log k).
     """
-    parent = list(range(max(map(max, edges), default=0) + 1))
+    component: dict[int, list[int]] = {}
     rank = 0
     for u, v in edges:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-            rank += 1
+        cu = component.get(u)
+        cv = component.get(v)
+        if cu is None:
+            if cv is not None:
+                cv.append(u)
+                component[u] = cv
+            elif u != v:
+                component[u] = component[v] = [u, v]
+            else:
+                continue
+        elif cv is None:
+            cu.append(v)
+            component[v] = cu
+        elif cu is cv:
+            continue
+        else:
+            if len(cu) < len(cv):
+                cu, cv = cv, cu
+            cu += cv
+            for w in cv:
+                component[w] = cu
+        rank += 1
     return rank
 
 

@@ -352,6 +352,19 @@ class TestKuramotoSupport:
         result = run(["kuramoto-support", "/nonexistent", "--facet", "99", "--seed", "-7"])
         assert result.stderr == "error: seed -7 outside 0..2^64-1\n"
 
+    def test_negative_facet_checked_before_graph(self, tmp_path):
+        # C41 trips the sign-search guard (exit 2) once its graph is read
+        c41 = tmp_path / "c41.txt"
+        c41.write_text("".join(f"{i} {i % 41 + 1}\n" for i in range(1, 42)))
+        for path in (str(c41), "/nonexistent"):
+            result = run(["kuramoto-support", path, "--facet", "-1"])
+            assert result.exit_code == 1
+            assert result.stdout == ""
+            assert result.stderr == "error: --facet -1 must be >= 0\n"
+        # the seed is still checked first
+        result = run(["kuramoto-support", str(c41), "--facet", "-1", "--seed", "-7"])
+        assert result.stderr == "error: seed -7 outside 0..2^64-1\n"
+
     @pytest.mark.parametrize("seed", ["0", str((1 << 64) - 1)])
     def test_seed_range_ends_accepted(self, c4_file, seed):
         result = run(["kuramoto-support", c4_file, "--seed", seed])

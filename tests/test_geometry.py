@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from adjpoly.linalg import integer_rank, solve_neg_ones
 
 from conftest import (
     complete_graph,
+    component_count,
     connected_spanning,
     cycle_graph,
     cyclomatic_number,
@@ -106,6 +108,9 @@ class TestIntegerRank:
         assert integer_rank([(i, i % 6 + 1) for i in range(1, 7)]) == 5
         assert integer_rank([(3, 3), (2, 3), (3, 2)]) == 1  # a loop, a reversal
         assert integer_rank([]) == 0
+        # any int is a label: -1 is a vertex, not the last entry of a table
+        assert integer_rank([(-1, 2)]) == integer_rank([(3, -1)]) == 1
+        assert integer_rank([(-2, -1)]) == 1
 
     def test_edge_vectors_match_fraction_oracle(self):
         rng = random.Random(63)
@@ -117,6 +122,37 @@ class TestIntegerRank:
             assert integer_rank(edges) == rank, edges
             ranks["full" if rank == min(len(edges), cols) else "deficient"] += 1
         assert min(ranks.values()) > 300
+
+    def test_large_label_allocates_no_table(self):
+        tracemalloc.start()
+        try:
+            assert integer_rank([(1, 10**6)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_matches_component_oracle_in_every_merge_order(self):
+        # rank = vertices touched - components: every sequence of up to 3
+        # directed edges on 0..4 (loops, repeats and reversals included),
+        # then longer random sequences, whose later edges land inside
+        # components that earlier joins merged
+        pairs = list(itertools.product(range(5), repeat=2))
+        sequences = [
+            list(edges)
+            for length in range(4)
+            for edges in itertools.product(pairs, repeat=length)
+        ]
+        rng = random.Random(64)
+        for _ in range(3000):
+            labels = range(rng.randint(1, 9))
+            count = rng.randint(5, 15)
+            sequences.append(
+                [(rng.choice(labels), rng.choice(labels)) for _ in range(count)]
+            )
+        for edges in sequences:
+            touched = {v for edge in edges for v in edge}
+            assert integer_rank(edges) == len(touched) - component_count(edges), edges
 
 
 class TestSolveNegOnes:
