@@ -152,18 +152,17 @@ def _cmd_facets(args) -> tuple[int, str]:
     if args.json:
         cfg = geometry.PointConfiguration(g)
         # every value is an int and every key fixed ASCII, so str(int) is its
-        # JSON text and these f-strings give json.dumps(doc)'s bytes; each
-        # point and its edge are encoded once per graph, not once per facet
+        # JSON text and these f-strings give json.dumps(doc)'s bytes; points
+        # are encoded once per graph and subgraph edges once per class
         points = [json.dumps(p) for p in cfg.points]
-        edges = [json.dumps(e) for e in cfg.point_edges]
+        dim = cfg.dim - 1
         class_texts = []
         for index, (cls, corank) in enumerate(zip(classes, coranks)):
-            tail = f'], "dim": {cfg.dim - 1}, "corank": {corank}}}'
+            edges = json.dumps(cls.subgraph.edges)
+            tail = f'], "subgraph_edges": {edges}, "dim": {dim}, "corank": {corank}}}'
             facet_texts = [
                 f'{{"normal": [{", ".join(map(str, f.normal))}], "points": ['
                 + ", ".join([points[i] for i in f.point_indices])
-                + '], "subgraph_edges": ['
-                + ", ".join([edges[i] for i in f.point_indices])
                 + tail
                 for f in cls.facets
             ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import DomainError, TooLarge
+from .errors import DomainError, TooLarge, show
 from .facets import enumerate_facet_classes
 from .graphs import Graph
 
@@ -33,16 +33,16 @@ def joined_cycles_count(m1: int, m2: int) -> tuple[int, int]:
     # bool is an int subclass and 2.0 == 2, so compare types exactly
     for name, value in (("m1", m1), ("m2", m2)):
         if type(value) is not int:
-            raise DomainError(f"{name} must be an int, got {value!r}")
+            raise DomainError(f"{name} must be an int, got {show(value)}")
     if m1 < 2:
-        raise DomainError(f"m1 must be >= 2, got {m1}")
+        raise DomainError(f"m1 must be >= 2, got {show(m1)}")
     if m2 < 1:
-        raise DomainError(f"m2 must be >= 1, got {m2}")
+        raise DomainError(f"m2 must be >= 1, got {show(m2)}")
     if m1 + m2 > JOINED_CYCLES_MAX_SUM:
         raise TooLarge(
-            f"joined-cycles guard: m1 + m2 = {m1 + m2} "
+            f"joined-cycles guard: m1 + m2 = {show(m1 + m2)} "
             f"(bound {JOINED_CYCLES_MAX_SUM}); the counts would need "
-            f"C({2 * m1 - 1}, {m1}) * C({2 * m2}, {m2})"
+            f"C({show(2 * m1 - 1)}, {show(m1)}) * C({show(2 * m2)}, {show(m2)})"
         )
     odd_factor = comb(2 * m2, m2)
     corank0 = (2 * m1 - 1) * comb(2 * m1 - 2, m1 - 1) * odd_factor

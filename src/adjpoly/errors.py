@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `show` for their messages."""
 
 
 class AdjPolyError(Exception):
@@ -31,3 +31,11 @@ class InternalInconsistency(AdjPolyError):
 
 class DomainError(AdjPolyError):
     """Counting formula evaluated outside its domain."""
+
+
+def show(value: object) -> str:
+    """repr(value), or a stand-in where repr refuses an int of over 4,300 digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"

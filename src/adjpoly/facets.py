@@ -30,9 +30,9 @@ class FacetClass:
     """All facets sharing one facet subgraph, in sign-vector order.
 
     The class data is held here once, not per facet: each facet's tight
-    points encode subgraph.edges, one orientation each; its corank is
-    subgraph.cyclomatic_number(); and the even potentials of its normal,
-    vertex 1 at 0, are subgraph.plus.
+    points encode subgraph.edges, one orientation each and in graph order;
+    its corank is subgraph.cyclomatic_number(); and the even potentials of
+    its normal, vertex 1 at 0, are subgraph.plus.
     """
 
     subgraph: MaxBipartiteSubgraph

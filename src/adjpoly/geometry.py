@@ -15,7 +15,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from . import linalg
-from .errors import InternalInconsistency, NotAFacet, TooLarge, ZeroNormal
+from .errors import InternalInconsistency, NotAFacet, TooLarge, ZeroNormal, show
 from .graphs import DirectedEdge, Edge, Graph
 
 Point = tuple[int, ...]
@@ -41,7 +41,7 @@ class PointConfiguration:
     comes first, then (j, i); index 2k+s therefore is edge k with
     orientation s.  The package computes on directed_edges; points, their
     encodings, are kept for output, and point_edges holds the undirected
-    edge of each point.
+    edge of each point; a Facet holds indices into these tables.
     """
 
     def __init__(self, graph: Graph):
@@ -66,12 +66,11 @@ class Facet:
     reflexive (Matsui, Higashitani, Nagazawa, Ohsugi and Hibi, 2011), so
     every facet is {x : <x, a> = -1} for an integer a, and that a is
     primitive.  point_indices lists the tight points in configuration
-    order and directed_edges the edges they encode.
+    order; cfg.directed_edges at those indices are the edges they encode.
     """
 
     normal: tuple[int, ...]
     point_indices: tuple[int, ...]
-    directed_edges: tuple[DirectedEdge, ...]
 
     def points(self, cfg: PointConfiguration) -> tuple[Point, ...]:
         return tuple(cfg.points[i] for i in self.point_indices)
@@ -94,9 +93,9 @@ def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
     try:
         coeffs = tuple(normal)
     except TypeError:
-        raise ValueError(f"normal {normal!r} is not a sequence of ints") from None
+        raise ValueError(f"normal {show(normal)} is not a sequence of ints") from None
     if not all([type(c) is int for c in coeffs]):
-        raise ValueError(f"normal {coeffs} has an entry that is not an integer")
+        raise ValueError(f"normal {show(coeffs)} has an entry that is not an integer")
     if len(coeffs) != cfg.dim:
         raise ValueError(f"normal has length {len(coeffs)}, expected {cfg.dim}")
     if not any(coeffs):
@@ -108,22 +107,17 @@ def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
     values = [pot[t] - pot[h] for t, h in edges]
     minimum = min(values)
     min_indices = [i for i, v in enumerate(values) if v == minimum]
-    tight = [edges[i] for i in min_indices]
     # a nonzero normal on a connected graph differs across some edge, and
     # both orientations of it are points, so the minimum is < 0: the tight
     # points lie on a hyperplane that misses the origin and their affine
     # dimension is their rank - 1
-    if linalg.integer_rank(tight) != cfg.dim:
-        raise NotAFacet(
-            f"minimizer set has affine dimension != {cfg.dim - 1}"
-        )
+    if linalg.integer_rank([edges[i] for i in min_indices]) != cfg.dim:
+        raise NotAFacet(f"minimizer set has affine dimension != {cfg.dim - 1}")
     if minimum != -1:
         raise InternalInconsistency(
             f"facet normal {coeffs} attains minimum {minimum}, not -1"
         )
-    return Facet(
-        normal=coeffs, point_indices=tuple(min_indices), directed_edges=tuple(tight)
-    )
+    return Facet(normal=coeffs, point_indices=tuple(min_indices))
 
 
 def _orientation_walk(tree: Sequence[Edge]) -> Iterator[tuple[int, list[int]]]:
@@ -188,12 +182,11 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
     lexicographically by it.
     """
     n = cfg.dim
-    m = cfg.graph.m
     if n > BRUTE_FORCE_MAX_DIM or len(cfg.points) > BRUTE_FORCE_MAX_POINTS:
         raise TooLarge(
             f"oracle guard: dim {n} (bound {BRUTE_FORCE_MAX_DIM}), "
             f"{len(cfg.points)} points (bound {BRUTE_FORCE_MAX_POINTS}); "
-            f"the search would need C({m}, {n}) edge sets "
+            f"the search would need C({cfg.graph.m}, {n}) edge sets "
             f"and 2^{n} orientations for each spanning tree"
         )
     found: set[tuple[int, ...]] = set()

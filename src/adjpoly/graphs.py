@@ -13,7 +13,7 @@ import re
 from itertools import compress
 from typing import Iterable
 
-from .errors import ParseError, TooLarge, ValidationError
+from .errors import ParseError, TooLarge, ValidationError, show
 
 Edge = tuple[int, int]
 DirectedEdge = tuple[int, int]
@@ -40,29 +40,31 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
         # bool is an int subclass and 3.0 == 3, so compare types exactly
         if type(vertex_count) is not int:
-            raise ValidationError(f"vertex count {vertex_count!r} is not an int")
+            raise ValidationError(f"vertex count {show(vertex_count)} is not an int")
         if vertex_count < 2:
-            raise ValidationError(f"need at least 2 vertices, got {vertex_count}")
+            raise ValidationError(f"need at least 2 vertices, got {show(vertex_count)}")
         normalized = []
         seen = set()
         try:
             edge_iter = iter(edges)
         except TypeError:
-            raise ValidationError(f"edge list {edges!r} is not iterable") from None
+            raise ValidationError(f"edge list {show(edges)} is not iterable") from None
         for edge in edge_iter:
             try:
                 u, v = edge
             except (TypeError, ValueError):
-                raise ValidationError(f"edge {edge!r} is not a pair") from None
+                raise ValidationError(f"edge {show(edge)} is not a pair") from None
             if type(u) is not int or type(v) is not int:
-                raise ValidationError(f"edge ({u!r}, {v!r}) has a non-int label")
+                raise ValidationError(f"edge {show((u, v))} has a non-int label")
             if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
+                raise ValidationError(f"self-loop at vertex {show(u)}")
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-                raise ValidationError(f"edge ({u}, {v}) outside 1..{vertex_count}")
+                raise ValidationError(
+                    f"edge {show((u, v))} outside 1..{show(vertex_count)}"
+                )
             e = (u, v) if u < v else (v, u)
             if e in seen:
-                raise ValidationError(f"duplicate edge {e}")
+                raise ValidationError(f"duplicate edge {show(e)}")
             seen.add(e)
             normalized.append(e)
         if not normalized:
@@ -104,9 +106,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
-
-    def __repr__(self) -> str:
-        return f"Graph(N={self.vertex_count}, m={self.m})"
 
 
 def parse_edge_list(text: str | bytes) -> Graph:

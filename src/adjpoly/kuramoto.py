@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError, InternalInconsistency, show
 from .facets import enumerate_all_facets
 from .geometry import Facet, Point, PointConfiguration
 from .graphs import Graph
@@ -95,7 +95,7 @@ def check_seed(seed: int) -> None:
     column of its absolute value.
     """
     if not 0 <= seed < 1 << 64:
-        raise DomainError(f"seed {seed} outside 0..2^64-1")
+        raise DomainError(f"seed {show(seed)} outside 0..2^64-1")
 
 
 def seeded_coefficients(count: int, seed: int) -> list[Fraction]:

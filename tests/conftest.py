@@ -254,6 +254,11 @@ def all_cycles(g: Graph) -> list[tuple[int, ...]]:
     return cycles
 
 
+def tight_edges(cfg: PointConfiguration, facet) -> tuple:
+    """The directed edges of a facet's tight points, in configuration order."""
+    return tuple(cfg.directed_edges[i] for i in facet.point_indices)
+
+
 def balanced_on_all_cycles(cycles, directed_edges) -> bool:
     """Oracle: each of the cycles (vertex tuples, as from all_cycles) meets
     the directed edges half and half."""

@@ -39,6 +39,7 @@ from conftest import (
     joined_cycles_graph,
     n6_sample_graphs,
     random_connected_graph,
+    tight_edges,
 )
 
 
@@ -156,7 +157,7 @@ def test_criterion_6_face_properties(joined45):
                 # points are independent iff they are a spanning tree's edges
                 assert connected_spanning(edges, g.vertex_count)
                 assert (len(edges) == g.n) == (corank == 0)
-                assert balanced_on_all_cycles(cycles, facet.directed_edges)
+                assert balanced_on_all_cycles(cycles, tight_edges(cfg, facet))
                 facets_checked += 1
     _report(6, f"corank/dim/independence/balancing hold on {facets_checked} facets")
 

@@ -280,6 +280,23 @@ class TestJoinedCycles:
         assert result.stdout == ""
         assert result.stderr == f"usage error: argument m1: invalid int value: {m1!r}\n"
 
+    # m1 + m2 or 2 * m2 has 4,301 digits, one more than Python will print
+    @pytest.mark.parametrize(
+        "m1, m2", [("9" * 4300, "1"), ("2", "9" * 4300)], ids=["m1", "m2"]
+    )
+    def test_unprintable_sum_exits_2(self, m1, m2):
+        result = run(["joined-cycles", m1, m2])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "joined-cycles guard" in result.stderr
+
+    def test_unprintable_sum_exits_2_through_main(self):
+        result = _adjpoly("joined-cycles", "9" * 4300, "1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "joined-cycles guard" in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("m2", ["6999", "1000000000"])
     def test_over_bound_exits_before_counting(self, m2):
         start = time.perf_counter()

@@ -1,11 +1,13 @@
 """Binomial identities, joined-cycle formulas, and the facet census."""
 
+from collections import Counter
 from math import comb
 
 import pytest
 
 from adjpoly import (
     DomainError,
+    Graph,
     TooLarge,
     enumerate_all_facets,
     facet_census,
@@ -14,12 +16,15 @@ from adjpoly import (
 )
 
 from conftest import (
+    complete_graph,
     cycle_graph,
     exhaustive_corpus,
     facets_by_corank,
+    grid_graph,
     is_bipartite_edges,
     joined_cycles_graph,
     n6_sample_graphs,
+    path_graph,
 )
 
 
@@ -58,6 +63,23 @@ class TestJoinedCyclesFormula:
     def test_over_bound_raises_too_large(self):
         with pytest.raises(TooLarge, match=r"m1 \+ m2 = 7001 \(bound 7000\)"):
             joined_cycles_count(3500, 3501)
+
+    # Python raises ValueError rather than print an int of over 4,300
+    # digits, so no message may format one
+    @pytest.mark.parametrize(
+        "m1, m2, error, message",
+        [
+            (10**4300, 1, TooLarge, "joined-cycles guard"),
+            (2, 10**4300, TooLarge, "joined-cycles guard"),
+            (-(10**5000), 1, DomainError, "m1 must be >= 2"),
+            (2, -(10**5000), DomainError, "m2 must be >= 1"),
+        ],
+        ids=["m1-huge", "m2-huge", "m1-huge-negative", "m2-huge-negative"],
+    )
+    def test_unprintable_int_keeps_its_error(self, m1, m2, error, message):
+        with pytest.raises(error, match=message) as info:
+            joined_cycles_count(m1, m2)
+        assert "too long to print" in str(info.value)
 
     # True == 1 and 2.0 == 2: as numbers they would pass the range checks
     @pytest.mark.parametrize(
@@ -139,3 +161,51 @@ class TestFacetCensus:
             assert sum(size for _, size in census) <= 1 << g.n
             checked += 1
         assert checked > 100
+
+
+def _one_vertex_sum(g1: Graph, g2: Graph, at: int) -> Graph:
+    """g1 and g2 glued at one vertex: g2's vertex 1 becomes g1's vertex at,
+    and g2's vertex v > 1 becomes g1.vertex_count + v - 1."""
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    label = [0, at, *range(n1 + 1, n1 + n2)]
+    edges = list(g1.edges) + [(label[u], label[v]) for u, v in g2.edges]
+    return Graph(n1 + n2 - 1, edges)
+
+
+class TestOneVertexSum:
+    """Each maximal bipartite subgraph of a one-vertex sum is a pair of
+    them, one per summand, and its facets are pairs of facets: coranks
+    add and class sizes multiply, so beta and the facet totals multiply."""
+
+    SUMMANDS = {
+        "C4": cycle_graph(4),
+        "C5": cycle_graph(5),
+        "K4": complete_graph(4),
+        "P3": path_graph(3),
+    }
+
+    @staticmethod
+    def _assert_census_is_product(g1: Graph, g2: Graph, at: int) -> None:
+        c1, c2 = facet_census(g1), facet_census(g2)
+        glued = facet_census(_one_vertex_sum(g1, g2, at))
+        expected = Counter((r1 + r2, s1 * s2) for r1, s1 in c1 for r2, s2 in c2)
+        assert Counter(glued) == expected
+
+    @pytest.mark.parametrize("name1", list(SUMMANDS))
+    @pytest.mark.parametrize("name2", list(SUMMANDS))
+    def test_small_summands(self, name1, name2):
+        g1, g2 = self.SUMMANDS[name1], self.SUMMANDS[name2]
+        for at in (1, g1.vertex_count):
+            self._assert_census_is_product(g1, g2, at)
+
+    # dim 12 and 10: past the brute-force oracle's guard (dim <= 8)
+    @pytest.mark.parametrize(
+        "g1, g2, at",
+        [
+            (grid_graph(3, 3), cycle_graph(5), 5),
+            (joined_cycles_graph(2, 2), complete_graph(5), 3),
+        ],
+        ids=["grid3x3-C5", "J(2,2)-K5"],
+    )
+    def test_past_the_oracle_guard(self, g1, g2, at):
+        self._assert_census_is_product(g1, g2, at)

@@ -38,6 +38,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
     scan_sign_vectors,
+    tight_edges,
 )
 
 
@@ -110,13 +111,16 @@ class TestSignOrderEnds:
 
     def test_ends_of_every_class(self, joined45):
         for g in list(exhaustive_corpus(5)) + [joined45]:
+            cfg = PointConfiguration(g)
             for cls in enumerate_facet_classes(g):
                 ds = enumerate_sign_vectors(build_cycle_system(g, cls.subgraph))
                 assert ds[0] == (-1,) * g.n and ds[-1] == (1,) * g.n
                 plus = cls.subgraph.plus
                 first, last = cls.facets[0], cls.facets[-1]
-                assert all(t in plus and h not in plus for t, h in first.directed_edges)
-                assert all(t not in plus and h in plus for t, h in last.directed_edges)
+                into_minus = tight_edges(cfg, first)
+                into_plus = tight_edges(cfg, last)
+                assert all(t in plus and h not in plus for t, h in into_minus)
+                assert all(t not in plus and h in plus for t, h in into_plus)
                 assert first.normal == tuple(-c for c in last.normal)
 
 
@@ -332,12 +336,13 @@ class TestFacetFromSignVector:
             # one point per edge of the 7-edge subgraph, which connects all
             # 7 vertices: dim 7 - 2 = 5 and corank 7 - 6 = 1
             assert len(facet.point_indices) == 7
-            assert connected_spanning(facet.directed_edges, 7)
+            assert connected_spanning(tight_edges(cfg, facet), 7)
             assert fraction_rank(facet.points(cfg)) - 1 == 5
-            assert cyclomatic_number(facet.directed_edges, joined45) == 1
+            assert cyclomatic_number(tight_edges(cfg, facet), joined45) == 1
 
     def test_signed_tree_points_lie_on_facet(self, joined45):
         for g in (cycle_graph(4), joined45):
+            cfg = PointConfiguration(g)
             for cls in enumerate_facet_classes(g):
                 steps = build_cycle_system(g, cls.subgraph)
                 ds = enumerate_sign_vectors(steps)
@@ -346,7 +351,7 @@ class TestFacetFromSignVector:
                     for dk, step in zip(d, steps):
                         oriented = _tree_edge(step)
                         edge = oriented if dk == 1 else oriented[::-1]
-                        assert edge in facet.directed_edges
+                        assert edge in tight_edges(cfg, facet)
 
 
 class TestEnumerateAllFacets:
@@ -469,10 +474,11 @@ class TestFacetClassFacts:
         g = cycle_graph(4)
         (cls,) = enumerate_facet_classes(g)
         facet = cls.facets[0]
-        points = facet.points(PointConfiguration(g))
-        degree = Counter(v for e in facet.directed_edges for v in e)
+        cfg = PointConfiguration(g)
+        points = facet.points(cfg)
+        degree = Counter(v for e in tight_edges(cfg, facet) for v in e)
         assert cls.subgraph.cyclomatic_number() == 1
-        assert connected_spanning(facet.directed_edges, 4)
+        assert connected_spanning(tight_edges(cfg, facet), 4)
         assert degree == {v: 2 for v in g.vertices()}
         assert fraction_rank(points) - 1 == 2
         assert fraction_rank(points) < len(points) == 4
@@ -484,11 +490,12 @@ class TestFacetClassFacts:
             if c.subgraph.cyclomatic_number() == 0
         ][0]
         facet = tree_cls.facets[0]
-        points = facet.points(PointConfiguration(joined45))
-        degree = Counter(v for e in facet.directed_edges for v in e)
+        cfg = PointConfiguration(joined45)
+        points = facet.points(cfg)
+        degree = Counter(v for e in tight_edges(cfg, facet) for v in e)
         # a spanning tree: 6 independent points, a simplex of dim 5, and a
         # leaf, so no circuit
-        assert connected_spanning(facet.directed_edges, 7)
+        assert connected_spanning(tight_edges(cfg, facet), 7)
         assert fraction_rank(points) == len(points) == 6
         assert min(degree.values()) == 1
 
@@ -514,7 +521,7 @@ class TestFacetClassFacts:
             assert len(cls.facets) == comb(2 * (n // 2), n // 2)
             for facet in cls.facets:
                 points = facet.points(cfg)
-                degree = Counter(v for e in facet.directed_edges for v in e)
+                degree = Counter(v for e in tight_edges(cfg, facet) for v in e)
                 assert fraction_rank(points) == n - 1
                 if n % 2 == 0:
                     assert cls.subgraph.cyclomatic_number() == 1
@@ -524,7 +531,7 @@ class TestFacetClassFacts:
                     assert cls.subgraph.cyclomatic_number() == 0
                     assert len(points) == n - 1
                     assert sorted(degree.values()).count(1) == 2
-                assert connected_spanning(facet.directed_edges, n)
+                assert connected_spanning(tight_edges(cfg, facet), n)
 
     @pytest.mark.parametrize("g", list(_TREES.values()), ids=list(_TREES))
     def test_tree_facets_form_a_cross_polytope(self, g):
@@ -557,7 +564,7 @@ def _assert_class_facts(g) -> None:
             assert connected_spanning(edges, g.vertex_count)
             assert rank - 1 == g.vertex_count - 2
             assert (rank == len(edges)) == (corank == 0)
-            assert balanced_on_all_cycles(cycles, facet.directed_edges)
+            assert balanced_on_all_cycles(cycles, tight_edges(cfg, facet))
 
 
 class TestFaceSubgraphs:
@@ -612,16 +619,18 @@ def _components(edges):
 class TestBalancing:
     def test_all_c4_facets(self):
         g = cycle_graph(4)
+        cfg = PointConfiguration(g)
         cycles = all_cycles(g)
         assert all(
-            balanced_on_all_cycles(cycles, f.directed_edges)
+            balanced_on_all_cycles(cycles, tight_edges(cfg, f))
             for f in enumerate_all_facets(g)
         )
 
     def test_all_joined_cycle_facets(self, joined45):
+        cfg = PointConfiguration(joined45)
         cycles = all_cycles(joined45)
         assert all(
-            balanced_on_all_cycles(cycles, f.directed_edges)
+            balanced_on_all_cycles(cycles, tight_edges(cfg, f))
             for f in enumerate_all_facets(joined45)
         )
 
@@ -636,9 +645,10 @@ class TestBalancing:
     def test_matches_cycle_oracle_on_facets(self):
         checked = 0
         for g in exhaustive_corpus(5):
+            cfg = PointConfiguration(g)
             cycles = all_cycles(g)
             for facet in enumerate_all_facets(g):
-                assert balanced_on_all_cycles(cycles, facet.directed_edges)
+                assert balanced_on_all_cycles(cycles, tight_edges(cfg, facet))
                 checked += 1
         assert checked > 10_000
 
@@ -647,11 +657,12 @@ class TestBalancing:
         g = cycle_graph(40)
         cfg = PointConfiguration(g)
         facet = verify_facet(cfg, tuple((v - 1) % 2 for v in range(2, 41)))
-        assert len(facet.directed_edges) == 40
+        edges = tight_edges(cfg, facet)
+        assert len(edges) == 40
         cycles = all_cycles(g)
-        assert balanced_on_all_cycles(cycles, facet.directed_edges)
-        flipped = ((2, 1),) + facet.directed_edges[1:]
-        assert facet.directed_edges[0] == (1, 2)
+        assert balanced_on_all_cycles(cycles, edges)
+        flipped = ((2, 1),) + edges[1:]
+        assert edges[0] == (1, 2)
         assert balanced_on_all_cycles(cycles, flipped) is False
 
     def test_unbalanced_orientation_rejected(self):

@@ -1,5 +1,6 @@
 """Point configurations, facet verification, and the brute-force oracle."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from adjpoly import (
+    Facet,
     Graph,
     InternalInconsistency,
     NotAFacet,
@@ -39,6 +41,7 @@ from conftest import (
     path_graph,
     random_edges,
     spanning_tree_count,
+    tight_edges,
     two_color,
     unpruned_brute_force_facets,
 )
@@ -200,13 +203,13 @@ class TestVerifyFacet:
         cfg = PointConfiguration(g)
         facet = verify_facet(cfg, (1,))
         assert facet.points(cfg) == ((-1,),)
-        assert facet.directed_edges == ((1, 2),)
+        assert tight_edges(cfg, facet) == ((1, 2),)
         assert facet.normal == (1,)
         # the lone edge connects both vertices: dim 2 - 2 = 0, corank 0
         (cls,) = enumerate_facet_classes(g)
         assert facet in cls.facets
         assert cls.subgraph.cyclomatic_number() == 0
-        assert connected_spanning(facet.directed_edges, 2)
+        assert connected_spanning(tight_edges(cfg, facet), 2)
 
     def test_c4_canonical_normal(self):
         # reduced form of the half-vector for V+ = {1,3}: entries a_v - a_1
@@ -220,7 +223,7 @@ class TestVerifyFacet:
         (cls,) = enumerate_facet_classes(g)
         assert facet in cls.facets
         assert cls.subgraph.cyclomatic_number() == 1
-        assert connected_spanning(facet.directed_edges, 4)
+        assert connected_spanning(tight_edges(cfg, facet), 4)
 
     def test_c4_min_set_too_small(self):
         cfg = PointConfiguration(cycle_graph(4))
@@ -261,6 +264,24 @@ class TestVerifyFacet:
         cfg = PointConfiguration(cycle_graph(4))
         with pytest.raises(ValueError, match=re.escape(f"normal {normal}")):
             verify_facet(cfg, normal)
+
+    @pytest.mark.parametrize(
+        "normal, message",
+        [
+            (10**5000, "is not a sequence of ints"),
+            ((10**5000, "1"), "has an entry that is not an integer"),
+        ],
+        ids=["not_iterable", "beside_non_int"],
+    )
+    def test_unprintable_normal_keeps_its_message(self, normal, message):
+        # Python raises ValueError rather than print an int of over 4,300 digits
+        cfg = PointConfiguration(cycle_graph(3))
+        with pytest.raises(ValueError, match=message):
+            verify_facet(cfg, normal)
+
+    def test_facet_holds_its_normal_and_point_indices(self):
+        fields = [f.name for f in dataclasses.fields(Facet)]
+        assert fields == ["normal", "point_indices"]
 
     def test_supporting_values_exact(self):
         # reflexivity: the primitive normal itself attains -1, no rescaling
@@ -303,16 +324,12 @@ class TestVerifyFacet:
                 b = cls.subgraph
                 for f in cls.facets:
                     assert verify_facet(cfg, f.normal) == f
-                    assert f.directed_edges == tuple(
-                        cfg.directed_edges[i] for i in f.point_indices
-                    )
+                    edges = tight_edges(cfg, f)
                     assert _even_vertices(f.normal) == b.plus
                     assert tuple(cfg.point_edges[i] for i in f.point_indices) == b.edges
                     # connected and spanning, so dim N - 2
-                    assert connected_spanning(f.directed_edges, g.vertex_count)
-                    assert b.cyclomatic_number() == cyclomatic_number(
-                        f.directed_edges, g
-                    )
+                    assert connected_spanning(edges, g.vertex_count)
+                    assert b.cyclomatic_number() == cyclomatic_number(edges, g)
 
 
 class TestPrimitive:

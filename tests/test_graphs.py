@@ -172,6 +172,35 @@ class TestParseEdgeList:
             Graph(3, edges)
         assert str(info.value) == f"edge list {edges} is not iterable"
 
+    # Python raises ValueError rather than print an int of over 4,300
+    # digits, so no message may format one
+    @pytest.mark.parametrize(
+        "vertex_count, edges",
+        [
+            (3, [(1, 10**5000)]),
+            (10**5000, [(0, 1)]),
+            (-(10**5000), [(1, 2)]),
+            (3, 10**5000),
+            (3, [(1, 2, 10**5000)]),
+            (3, [(10**5000, "1")]),
+            (10**5000, [(10**5000, 10**5000)]),
+            (10**5000, [(1, 10**5000), (10**5000, 1)]),
+        ],
+        ids=[
+            "label",
+            "vertex_count_in_range_message",
+            "vertex_count",
+            "edge_list",
+            "edge",
+            "beside_non_int",
+            "self_loop",
+            "duplicate",
+        ],
+    )
+    def test_unprintable_int_keeps_validation_error(self, vertex_count, edges):
+        with pytest.raises(ValidationError, match="too long to print"):
+            Graph(vertex_count, edges)
+
     def test_nonpositive_label(self):
         with pytest.raises(ValidationError):
             parse_edge_list("0 1")

@@ -177,3 +177,8 @@ class TestFileFormats:
         # random.Random seeds with |seed|, so -7 would repeat seed 7's column
         with pytest.raises(DomainError, match=f"seed {seed} outside 0..2\\^64-1"):
             seeded_coefficients(3, seed)
+
+    def test_unprintable_seed_rejected(self):
+        # Python raises ValueError rather than print an int of over 4,300 digits
+        with pytest.raises(DomainError, match="too long to print"):
+            seeded_coefficients(3, 10**5000)
