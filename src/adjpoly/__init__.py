@@ -28,7 +28,6 @@ from .facets import (
 )
 from .geometry import (
     Facet,
-    PointConfiguration,
     brute_force_facets,
     verify_facet,
 )

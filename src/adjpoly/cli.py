@@ -67,7 +67,11 @@ def _int(text: str) -> int:
     # the edge-list grammar: int() would also take "1_0", " 3" and non-ASCII digits
     if not _LABEL.fullmatch(text):
         raise ValueError(text)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int string limit
+        size = len(text.lstrip("-"))
+        raise argparse.ArgumentTypeError(f"{size}-digit integer is too long") from None
 
 
 # argparse names the type in "invalid int value: 'x'"
@@ -150,12 +154,11 @@ def _cmd_facets(args) -> tuple[int, str]:
     total = sum(len(c.facets) for c in classes)
     coranks = [cls.subgraph.cyclomatic_number() for cls in classes]
     if args.json:
-        cfg = geometry.PointConfiguration(g)
         # every value is an int and every key fixed ASCII, so str(int) is its
         # JSON text and these f-strings give json.dumps(doc)'s bytes; points
         # are encoded once per graph and subgraph edges once per class
-        points = [json.dumps(p) for p in cfg.points]
-        dim = cfg.dim - 1
+        points = [json.dumps(p) for p in geometry.points(g)]
+        dim = g.n - 1
         class_texts = []
         for index, (cls, corank) in enumerate(zip(classes, coranks)):
             edges = json.dumps(cls.subgraph.edges)
@@ -228,9 +231,8 @@ def _cmd_bipartite(args) -> tuple[int, str]:
 
 def _cmd_oracle_check(args) -> tuple[int, str]:
     g = _load_graph(args.file)
-    cfg = geometry.PointConfiguration(g)
     # the oracle's guard is the tighter one: check it before enumerating
-    oracle = {f.normal for f in geometry.brute_force_facets(cfg)}
+    oracle = {f.normal for f in geometry.brute_force_facets(g)}
     fast = {f.normal for f in facets_mod.enumerate_all_facets(g)}
     if fast == oracle:
         return EXIT_OK, f"{len(fast)} == {len(oracle)}\n"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import InternalInconsistency, TooLarge
-from .geometry import Facet, PointConfiguration, verify_facet
+from .geometry import Facet, verify_facet
 from .graphs import Graph, MaxBipartiteSubgraph, enumerate_maximal_bipartite_subgraphs
 
 SIGN_SEARCH_MAX_DIM = 30
@@ -30,9 +30,9 @@ class FacetClass:
     """All facets sharing one facet subgraph, in sign-vector order.
 
     The class data is held here once, not per facet: each facet's tight
-    points encode subgraph.edges, one orientation each and in graph order;
-    its corank is subgraph.cyclomatic_number(); and the even potentials of
-    its normal, vertex 1 at 0, are subgraph.plus.
+    points orient subgraph.edges once each, in graph order, point index i
+    orienting g.edges[i >> 1]; its corank is subgraph.cyclomatic_number();
+    and the even potentials of its normal, vertex 1 at 0, are subgraph.plus.
     """
 
     subgraph: MaxBipartiteSubgraph
@@ -128,7 +128,6 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
     takes the total past ENUMERATION_MAX_FACETS raises TooLarge before its
     facets are built.
     """
-    cfg = PointConfiguration(g)
     # every step sets its vertex, so one potential list serves every facet
     pot = [0] * (g.vertex_count + 1)
     seen_normals: dict[tuple[int, ...], int] = {}
@@ -148,8 +147,8 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
         for d in sign_vectors:
             for (vertex, parent, sign, _), dk in zip(steps, d):
                 pot[vertex] = pot[parent] + sign * dk
-            facet = verify_facet(cfg, pot[2:])
-            if tuple([cfg.point_edges[i] for i in facet.point_indices]) != b.edges:
+            facet = verify_facet(g, pot[2:])
+            if tuple([g.edges[i >> 1] for i in facet.point_indices]) != b.edges:
                 raise InternalInconsistency(
                     "facet subgraph does not match the generating bipartite subgraph"
                 )

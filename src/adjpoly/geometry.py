@@ -1,11 +1,11 @@
-"""Exact point configurations of signed edge vectors and their facets.
+"""Exact configuration points of a graph and the facets they span.
 
 The configuration of a graph G on vertices 1..N is the set of vectors
 +-(e_{i-1} - e_{j-1}) in R^(N-1), one pair per edge {i,j}, with e_0 = 0
 (vertex 1's axis is projected out).  Inside the package a point travels
-as the directed edge it encodes, and `edge_point` encodes one for output.
-All facet decisions are made in exact integer arithmetic; no floating
-point is used anywhere.
+as the directed edge it encodes, one of Graph.directed_edges, and
+`edge_point` or `points` encodes it for output.  All facet decisions are
+made in exact integer arithmetic; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import InternalInconsistency, NotAFacet, TooLarge, ZeroNormal, show
-from .graphs import DirectedEdge, Edge, Graph
+from .graphs import Edge, Graph
 
 Point = tuple[int, ...]
 
@@ -34,26 +34,9 @@ def edge_point(n: int, tail: int, head: int) -> Point:
     return tuple(coords)
 
 
-class PointConfiguration:
-    """The 2m signed edge vectors of a graph, in deterministic order.
-
-    For each edge {i, j} (i < j) in graph order the directed edge (i, j)
-    comes first, then (j, i); index 2k+s therefore is edge k with
-    orientation s.  The package computes on directed_edges; points, their
-    encodings, are kept for output, and point_edges holds the undirected
-    edge of each point; a Facet holds indices into these tables.
-    """
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.dim = graph.n
-        self.directed_edges: tuple[DirectedEdge, ...] = tuple(
-            e for i, j in graph.edges for e in ((i, j), (j, i))
-        )
-        self.point_edges = tuple(e for e in graph.edges for _ in range(2))
-        self.points: tuple[Point, ...] = tuple(
-            edge_point(self.dim, t, h) for t, h in self.directed_edges
-        )
+def points(g: Graph) -> tuple[Point, ...]:
+    """The 2m configuration points of g, in g.directed_edges order."""
+    return tuple(edge_point(g.n, t, h) for t, h in g.directed_edges)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,17 +49,14 @@ class Facet:
     reflexive (Matsui, Higashitani, Nagazawa, Ohsugi and Hibi, 2011), so
     every facet is {x : <x, a> = -1} for an integer a, and that a is
     primitive.  point_indices lists the tight points in configuration
-    order; cfg.directed_edges at those indices are the edges they encode.
+    order, as indices into g.directed_edges, the edges they encode.
     """
 
     normal: tuple[int, ...]
     point_indices: tuple[int, ...]
 
-    def points(self, cfg: PointConfiguration) -> tuple[Point, ...]:
-        return tuple(cfg.points[i] for i in self.point_indices)
 
-
-def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
+def verify_facet(g: Graph, normal: Sequence[int]) -> Facet:
     """Check that a normal supports a facet and build it.
 
     The normal a is a sequence of ints (not bools), read as vertex
@@ -96,14 +76,14 @@ def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
         raise ValueError(f"normal {show(normal)} is not a sequence of ints") from None
     if not all([type(c) is int for c in coeffs]):
         raise ValueError(f"normal {show(coeffs)} has an entry that is not an integer")
-    if len(coeffs) != cfg.dim:
-        raise ValueError(f"normal has length {len(coeffs)}, expected {cfg.dim}")
+    if len(coeffs) != g.n:
+        raise ValueError(f"normal has length {len(coeffs)}, expected {g.n}")
     if not any(coeffs):
         raise ZeroNormal("inner normal must be nonzero")
     coeffs = linalg.primitive(coeffs)
 
     pot = (0, 0) + coeffs
-    edges = cfg.directed_edges
+    edges = g.directed_edges
     values = [pot[t] - pot[h] for t, h in edges]
     minimum = min(values)
     min_indices = [i for i, v in enumerate(values) if v == minimum]
@@ -111,8 +91,8 @@ def verify_facet(cfg: PointConfiguration, normal: Sequence[int]) -> Facet:
     # both orientations of it are points, so the minimum is < 0: the tight
     # points lie on a hyperplane that misses the origin and their affine
     # dimension is their rank - 1
-    if linalg.integer_rank([edges[i] for i in min_indices]) != cfg.dim:
-        raise NotAFacet(f"minimizer set has affine dimension != {cfg.dim - 1}")
+    if linalg.integer_rank([edges[i] for i in min_indices]) != g.n:
+        raise NotAFacet(f"minimizer set has affine dimension != {g.n - 1}")
     if minimum != -1:
         raise InternalInconsistency(
             f"facet normal {coeffs} attains minimum {minimum}, not -1"
@@ -166,7 +146,7 @@ def _orientation_walk(tree: Sequence[Edge]) -> Iterator[tuple[int, list[int]]]:
         yield mask, pot
 
 
-def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
+def brute_force_facets(g: Graph) -> list[Facet]:
     """Independent facet oracle: exhaustive hyperplane search.
 
     For every n-subset of points that spans a hyperplane avoiding the
@@ -181,21 +161,21 @@ def brute_force_facets(cfg: PointConfiguration) -> list[Facet]:
     so a is primitive.  Output is deduplicated by normal and sorted
     lexicographically by it.
     """
-    n = cfg.dim
-    if n > BRUTE_FORCE_MAX_DIM or len(cfg.points) > BRUTE_FORCE_MAX_POINTS:
+    n = g.n
+    if n > BRUTE_FORCE_MAX_DIM or 2 * g.m > BRUTE_FORCE_MAX_POINTS:
         raise TooLarge(
             f"oracle guard: dim {n} (bound {BRUTE_FORCE_MAX_DIM}), "
-            f"{len(cfg.points)} points (bound {BRUTE_FORCE_MAX_POINTS}); "
-            f"the search would need C({cfg.graph.m}, {n}) edge sets "
+            f"{2 * g.m} points (bound {BRUTE_FORCE_MAX_POINTS}); "
+            f"the search would need C({g.m}, {n}) edge sets "
             f"and 2^{n} orientations for each spanning tree"
         )
     found: set[tuple[int, ...]] = set()
-    for tree in itertools.combinations(cfg.graph.edges, n):
+    for tree in itertools.combinations(g.edges, n):
         # a sign flip keeps the rank, so a dependent edge set is singular
         # in all 2^n orientations
         if linalg.integer_rank(tree) < n:
             continue
         for _, pot in _orientation_walk(tree):
-            if all(pot[t] - pot[h] >= -1 for t, h in cfg.directed_edges):
+            if all(pot[t] - pot[h] >= -1 for t, h in g.directed_edges):
                 found.add(tuple(pot[2:]))
-    return [verify_facet(cfg, key) for key in sorted(found)]
+    return [verify_facet(g, key) for key in sorted(found)]

@@ -33,8 +33,10 @@ class Graph:
 
     The edge list is normalized to (min, max) pairs and kept in
     lexicographic order; every vector in the package is indexed against
-    this order (or against a spanning tree's discovery order).  bfs_order
-    lists the vertices breadth-first from vertex 1, ascending neighbours.
+    this order (or against a spanning tree's discovery order).  The 2m
+    directed_edges are the configuration points: index 2k is edges[k] =
+    (i, j) and index 2k + 1 is (j, i).  bfs_order lists the vertices
+    breadth-first from vertex 1, ascending neighbours.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
@@ -77,6 +79,9 @@ class Graph:
 
         self.vertex_count = vertex_count
         self.edges: tuple[Edge, ...] = tuple(normalized)
+        self.directed_edges: tuple[DirectedEdge, ...] = tuple(
+            e for i, j in self.edges for e in ((i, j), (j, i))
+        )
         adj: dict[int, list[int]] = {v: [] for v in range(1, vertex_count + 1)}
         for u, v in self.edges:
             adj[u].append(v)
@@ -131,12 +136,14 @@ def parse_edge_list(text: str | bytes) -> Graph:
         tokens = _TOKEN_GAP.split(line)
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
+        if not (_LABEL.fullmatch(tokens[0]) and _LABEL.fullmatch(tokens[1])):
+            raise ParseError(f"line {lineno}: non-integer label in {line!r}")
         try:
-            if not (_LABEL.fullmatch(tokens[0]) and _LABEL.fullmatch(tokens[1])):
-                raise ValueError
             u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer label in {line!r}") from None
+        except ValueError:  # past the interpreter's int string limit
+            digits = max(len(t.lstrip("-")) for t in tokens)
+            message = f"line {lineno}: {digits}-digit integer is too long"
+            raise ParseError(message) from None
         if u < 1 or v < 1:
             raise ValidationError(f"line {lineno}: labels must be >= 1, got {line!r}")
         if u == v:

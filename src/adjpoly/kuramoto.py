@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DomainError, InternalInconsistency, show
 from .facets import enumerate_all_facets
-from .geometry import Facet, Point, PointConfiguration
+from .geometry import Facet, Point, edge_point, points
 from .graphs import Graph
 
 
@@ -27,8 +27,7 @@ def _with_origin(points: Sequence[Point], dim: int) -> tuple[Point, ...]:
 
 def unmixed_support(g: Graph) -> tuple[Point, ...]:
     """Configuration points plus the origin: 2m + 1 sorted exponent vectors."""
-    cfg = PointConfiguration(g)
-    return _with_origin(cfg.points, cfg.dim)
+    return _with_origin(points(g), g.n)
 
 
 def homotopy_lift(support: Sequence[Point]) -> list[int]:
@@ -38,8 +37,8 @@ def homotopy_lift(support: Sequence[Point]) -> list[int]:
 
 def facet_subsystem_support(g: Graph, facet: Facet) -> tuple[Point, ...]:
     """Support of the subsystem picked out by a facet: its points plus 0."""
-    cfg = PointConfiguration(g)
-    return _with_origin(facet.points(cfg), cfg.dim)
+    encoded = points(g)
+    return _with_origin([encoded[i] for i in facet.point_indices], g.n)
 
 
 def homogenization_data(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -49,15 +48,14 @@ def homogenization_data(g: Graph) -> tuple[tuple[int, ...], ...]:
     2..N.  Soundness of the lift is asserted: every configuration point
     attains -1 under some row, so V.a + 1 has a zero for it.
     """
-    cfg = PointConfiguration(g)
     rows = tuple(f.normal for f in enumerate_all_facets(g))
 
     # row r takes r[t] - r[h] at the point of (t, h): vertex 1 has potential 0
     padded = [(0, 0) + row for row in rows]
-    for point, (t, h) in zip(cfg.points, cfg.directed_edges):
+    for t, h in g.directed_edges:
         if min(p[t] - p[h] for p in padded) != -1:
             raise InternalInconsistency(
-                f"support point {point} does not sit on any facet"
+                f"support point {edge_point(g.n, t, h)} does not sit on any facet"
             )
     return rows
 

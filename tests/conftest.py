@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from adjpoly import Graph, ValidationError, parse_edge_list
-from adjpoly.geometry import PointConfiguration, verify_facet
+from adjpoly.geometry import points, verify_facet
 from adjpoly.graphs import MaxBipartiteSubgraph
 from adjpoly.linalg import primitive, solve_neg_ones
 
@@ -208,23 +208,24 @@ def spanning_tree_count(g: Graph) -> int:
     )
 
 
-def unpruned_brute_force_facets(cfg: PointConfiguration):
+def unpruned_brute_force_facets(g: Graph):
     """Reference: the hyperplane oracle's loop with no rank skip, solving
     all 2^n orientations of every n-edge subset."""
-    n = cfg.dim
+    n = g.n
+    encoded = points(g)
     found = set()
-    for edge_combo in itertools.combinations(range(cfg.graph.m), n):
+    for edge_combo in itertools.combinations(range(g.m), n):
         for signs in itertools.product((0, 1), repeat=n):
             subset = [2 * e + s for e, s in zip(edge_combo, signs)]
-            nums = solve_neg_ones([cfg.directed_edges[i] for i in subset])
+            nums = solve_neg_ones([g.directed_edges[i] for i in subset])
             if nums is None:
                 continue
             if all(
                 sum(x * a for x, a in zip(point, nums)) >= -1
-                for point in cfg.points
+                for point in encoded
             ):
                 found.add(primitive(nums))
-    return [verify_facet(cfg, key) for key in sorted(found)]
+    return [verify_facet(g, key) for key in sorted(found)]
 
 
 def all_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -254,9 +255,15 @@ def all_cycles(g: Graph) -> list[tuple[int, ...]]:
     return cycles
 
 
-def tight_edges(cfg: PointConfiguration, facet) -> tuple:
+def tight_edges(g: Graph, facet) -> tuple:
     """The directed edges of a facet's tight points, in configuration order."""
-    return tuple(cfg.directed_edges[i] for i in facet.point_indices)
+    return tuple(g.directed_edges[i] for i in facet.point_indices)
+
+
+def tight_points(g: Graph, facet) -> tuple:
+    """The encoded points of a facet's tight points, in configuration order."""
+    encoded = points(g)
+    return tuple(encoded[i] for i in facet.point_indices)
 
 
 def balanced_on_all_cycles(cycles, directed_edges) -> bool:

@@ -12,7 +12,6 @@ import time
 from math import comb
 
 from adjpoly import (
-    PointConfiguration,
     brute_force_facets,
     enumerate_all_facets,
     enumerate_facet_classes,
@@ -103,7 +102,7 @@ def test_criterion_2_oracle_equivalence(joined45):
     checked = 0
     for g in _oracle_corpus(joined45):
         fast = {f.normal for f in enumerate_all_facets(g)}
-        oracle = {f.normal for f in brute_force_facets(PointConfiguration(g))}
+        oracle = {f.normal for f in brute_force_facets(g)}
         assert fast == oracle, f"discrepancy on {g.edges}"
         checked += 1
     elapsed = time.monotonic() - start
@@ -146,18 +145,17 @@ def test_criterion_6_face_properties(joined45):
     graphs = [g for g in _oracle_corpus(joined45) if g.vertex_count <= 7]
     facets_checked = 0
     for g in graphs:
-        cfg = PointConfiguration(g)
         cycles = all_cycles(g)
         for cls in enumerate_facet_classes(g):
             corank = cls.subgraph.cyclomatic_number()
             for facet in cls.facets:
-                edges = [cfg.point_edges[i] for i in facet.point_indices]
+                edges = [g.edges[i >> 1] for i in facet.point_indices]
                 assert corank == cyclomatic_number(edges, g)
                 # connected and spanning: rank N - 1, so dim N - 2, and the
                 # points are independent iff they are a spanning tree's edges
                 assert connected_spanning(edges, g.vertex_count)
                 assert (len(edges) == g.n) == (corank == 0)
-                assert balanced_on_all_cycles(cycles, tight_edges(cfg, facet))
+                assert balanced_on_all_cycles(cycles, tight_edges(g, facet))
                 facets_checked += 1
     _report(6, f"corank/dim/independence/balancing hold on {facets_checked} facets")
 

@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import adjpoly
-from adjpoly import cli, geometry, graphs
+from adjpoly import cli, graphs
 from adjpoly.cli import run
 from adjpoly.facets import enumerate_facet_classes
 
-from conftest import exhaustive_corpus, n6_sample_graphs
+from conftest import exhaustive_corpus, n6_sample_graphs, tight_points
 
 
 def _adjpoly(*argv):
@@ -96,7 +96,6 @@ class TestFacets:
 
 def _facets_doc(g: graphs.Graph) -> dict:
     """The `facets --json` document as nested dicts and lists."""
-    cfg = geometry.PointConfiguration(g)
     classes = enumerate_facet_classes(g)
     doc_classes = []
     for index, cls in enumerate(classes):
@@ -104,9 +103,9 @@ def _facets_doc(g: graphs.Graph) -> dict:
         facet_docs = [
             {
                 "normal": list(f.normal),
-                "points": [list(p) for p in f.points(cfg)],
-                "subgraph_edges": [list(cfg.point_edges[i]) for i in f.point_indices],
-                "dim": cfg.dim - 1,
+                "points": [list(p) for p in tight_points(g, f)],
+                "subgraph_edges": [list(g.edges[i >> 1]) for i in f.point_indices],
+                "dim": g.n - 1,
                 "corank": corank,
             }
             for f in cls.facets
@@ -290,6 +289,24 @@ class TestJoinedCycles:
         assert result.stdout == ""
         assert "joined-cycles guard" in result.stderr
 
+    # the grammar takes them, int() does not: over 4,300 digits
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["joined-cycles", "9" * 4301, "1"],
+            ["joined-cycles", "2", "0" * 5000 + "3"],
+            ["kuramoto-support", "g.txt", "--seed", "9" * 4301],
+        ],
+        ids=["m1", "m2_leading_zeros", "seed"],
+    )
+    def test_oversized_argument_named_by_digit_count(self, argv):
+        result = run(argv)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        digits = max(len(a) for a in argv)
+        assert result.stderr.endswith(f": {digits}-digit integer is too long\n")
+        assert len(result.stderr.encode()) < 200
+
     def test_unprintable_sum_exits_2_through_main(self):
         result = _adjpoly("joined-cycles", "9" * 4300, "1")
         assert result.returncode == 2
@@ -421,6 +438,16 @@ class TestErrorsAndFlags:
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1\n")
         assert run(["count", str(bad)]).exit_code == 1
+
+    # a label that fits the grammar but not int(): the message names its
+    # digit count and does not echo the line
+    def test_oversized_label_through_main(self, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("1 2\n1 " + "9" * 4301 + "\n")
+        result = _adjpoly("count", str(big))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: line 2: 4301-digit integer is too long\n"
 
     def test_unknown_flag_named(self, c4_file):
         result = run(["count", c4_file, "--bogus"])

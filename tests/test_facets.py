@@ -10,7 +10,6 @@ import pytest
 from adjpoly import facets as facets_mod
 from adjpoly import (
     Graph,
-    PointConfiguration,
     TooLarge,
     brute_force_facets,
     build_cycle_system,
@@ -39,6 +38,7 @@ from conftest import (
     random_connected_graph,
     scan_sign_vectors,
     tight_edges,
+    tight_points,
 )
 
 
@@ -91,8 +91,7 @@ class TestSignOrderEnds:
     def test_k2(self):
         g = parse_edge_list("1 2")
         (cls,) = enumerate_facet_classes(g)
-        cfg = PointConfiguration(g)
-        ends = {cls.facets[0].points(cfg), cls.facets[-1].points(cfg)}
+        ends = {tight_points(g, cls.facets[0]), tight_points(g, cls.facets[-1])}
         assert ends == {((1,),), ((-1,),)}
 
     def test_c4_half_vector_normals(self):
@@ -104,21 +103,19 @@ class TestSignOrderEnds:
     def test_triangle_path_subgraph(self):
         g = cycle_graph(3)
         cls = _class_of(g, _subgraph_by_edges(g, [(1, 2), (2, 3)]))
-        cfg = PointConfiguration(g)
         # crossing edges oriented into V+ = {1, 3}: points (2,1) and (2,3)
-        assert set(cls.facets[-1].points(cfg)) == {(1, 0), (1, -1)}
-        assert set(cls.facets[0].points(cfg)) == {(-1, 0), (-1, 1)}
+        assert set(tight_points(g, cls.facets[-1])) == {(1, 0), (1, -1)}
+        assert set(tight_points(g, cls.facets[0])) == {(-1, 0), (-1, 1)}
 
     def test_ends_of_every_class(self, joined45):
         for g in list(exhaustive_corpus(5)) + [joined45]:
-            cfg = PointConfiguration(g)
             for cls in enumerate_facet_classes(g):
                 ds = enumerate_sign_vectors(build_cycle_system(g, cls.subgraph))
                 assert ds[0] == (-1,) * g.n and ds[-1] == (1,) * g.n
                 plus = cls.subgraph.plus
                 first, last = cls.facets[0], cls.facets[-1]
-                into_minus = tight_edges(cfg, first)
-                into_plus = tight_edges(cfg, last)
+                into_minus = tight_edges(g, first)
+                into_plus = tight_edges(g, last)
                 assert all(t in plus and h not in plus for t, h in into_minus)
                 assert all(t not in plus and h in plus for t, h in into_plus)
                 assert first.normal == tuple(-c for c in last.normal)
@@ -322,7 +319,7 @@ class TestFacetFromSignVector:
         (cls,) = enumerate_facet_classes(g)
         ds = enumerate_sign_vectors(build_cycle_system(g, cls.subgraph))
         fast = {f.normal for f in cls.facets}
-        oracle = {f.normal for f in brute_force_facets(PointConfiguration(g))}
+        oracle = {f.normal for f in brute_force_facets(g)}
         assert len(ds) == len(fast) == 6
         assert fast == oracle
 
@@ -331,18 +328,16 @@ class TestFacetFromSignVector:
         cls = _class_of(joined45, b)
         assert len(cls.facets) == 18
         assert cls.subgraph.cyclomatic_number() == 1
-        cfg = PointConfiguration(joined45)
         for facet in cls.facets:
             # one point per edge of the 7-edge subgraph, which connects all
             # 7 vertices: dim 7 - 2 = 5 and corank 7 - 6 = 1
             assert len(facet.point_indices) == 7
-            assert connected_spanning(tight_edges(cfg, facet), 7)
-            assert fraction_rank(facet.points(cfg)) - 1 == 5
-            assert cyclomatic_number(tight_edges(cfg, facet), joined45) == 1
+            assert connected_spanning(tight_edges(joined45, facet), 7)
+            assert fraction_rank(tight_points(joined45, facet)) - 1 == 5
+            assert cyclomatic_number(tight_edges(joined45, facet), joined45) == 1
 
     def test_signed_tree_points_lie_on_facet(self, joined45):
         for g in (cycle_graph(4), joined45):
-            cfg = PointConfiguration(g)
             for cls in enumerate_facet_classes(g):
                 steps = build_cycle_system(g, cls.subgraph)
                 ds = enumerate_sign_vectors(steps)
@@ -351,7 +346,7 @@ class TestFacetFromSignVector:
                     for dk, step in zip(d, steps):
                         oriented = _tree_edge(step)
                         edge = oriented if dk == 1 else oriented[::-1]
-                        assert edge in tight_edges(cfg, facet)
+                        assert edge in tight_edges(g, facet)
 
 
 class TestEnumerateAllFacets:
@@ -368,14 +363,13 @@ class TestEnumerateAllFacets:
     def test_oracle_equivalence_small(self):
         for g in exhaustive_corpus(4):
             fast = {f.normal for f in enumerate_all_facets(g)}
-            oracle = {f.normal for f in brute_force_facets(PointConfiguration(g))}
+            oracle = {f.normal for f in brute_force_facets(g)}
             assert fast == oracle, g.edges
 
     def test_classes_partition_oracle_by_subgraph(self, joined45):
-        cfg = PointConfiguration(joined45)
         by_subgraph = {}
-        for f in brute_force_facets(cfg):
-            edges = tuple(cfg.point_edges[i] for i in f.point_indices)
+        for f in brute_force_facets(joined45):
+            edges = tuple(joined45.edges[i >> 1] for i in f.point_indices)
             by_subgraph.setdefault(edges, set()).add(f.normal)
         for cls in enumerate_facet_classes(joined45):
             assert {f.normal for f in cls.facets} == by_subgraph[cls.subgraph.edges]
@@ -474,11 +468,10 @@ class TestFacetClassFacts:
         g = cycle_graph(4)
         (cls,) = enumerate_facet_classes(g)
         facet = cls.facets[0]
-        cfg = PointConfiguration(g)
-        points = facet.points(cfg)
-        degree = Counter(v for e in tight_edges(cfg, facet) for v in e)
+        points = tight_points(g, facet)
+        degree = Counter(v for e in tight_edges(g, facet) for v in e)
         assert cls.subgraph.cyclomatic_number() == 1
-        assert connected_spanning(tight_edges(cfg, facet), 4)
+        assert connected_spanning(tight_edges(g, facet), 4)
         assert degree == {v: 2 for v in g.vertices()}
         assert fraction_rank(points) - 1 == 2
         assert fraction_rank(points) < len(points) == 4
@@ -490,12 +483,11 @@ class TestFacetClassFacts:
             if c.subgraph.cyclomatic_number() == 0
         ][0]
         facet = tree_cls.facets[0]
-        cfg = PointConfiguration(joined45)
-        points = facet.points(cfg)
-        degree = Counter(v for e in tight_edges(cfg, facet) for v in e)
+        points = tight_points(joined45, facet)
+        degree = Counter(v for e in tight_edges(joined45, facet) for v in e)
         # a spanning tree: 6 independent points, a simplex of dim 5, and a
         # leaf, so no circuit
-        assert connected_spanning(tight_edges(cfg, facet), 7)
+        assert connected_spanning(tight_edges(joined45, facet), 7)
         assert fraction_rank(points) == len(points) == 6
         assert min(degree.values()) == 1
 
@@ -515,13 +507,12 @@ class TestFacetClassFacts:
         # C(2k, k) facets
         g = cycle_graph(n)
         classes = enumerate_facet_classes(g)
-        cfg = PointConfiguration(g)
         assert len(classes) == (1 if n % 2 == 0 else n)
         for cls in classes:
             assert len(cls.facets) == comb(2 * (n // 2), n // 2)
             for facet in cls.facets:
-                points = facet.points(cfg)
-                degree = Counter(v for e in tight_edges(cfg, facet) for v in e)
+                points = tight_points(g, facet)
+                degree = Counter(v for e in tight_edges(g, facet) for v in e)
                 assert fraction_rank(points) == n - 1
                 if n % 2 == 0:
                     assert cls.subgraph.cyclomatic_number() == 1
@@ -531,7 +522,7 @@ class TestFacetClassFacts:
                     assert cls.subgraph.cyclomatic_number() == 0
                     assert len(points) == n - 1
                     assert sorted(degree.values()).count(1) == 2
-                assert connected_spanning(tight_edges(cfg, facet), n)
+                assert connected_spanning(tight_edges(g, facet), n)
 
     @pytest.mark.parametrize("g", list(_TREES.values()), ids=list(_TREES))
     def test_tree_facets_form_a_cross_polytope(self, g):
@@ -539,32 +530,30 @@ class TestFacetClassFacts:
         # cross-polytope: one class, 2^(N-1) facets, each a simplex
         n = g.vertex_count
         (cls,) = enumerate_facet_classes(g)
-        cfg = PointConfiguration(g)
         assert cls.subgraph.edges == g.edges
         assert cls.subgraph.cyclomatic_number() == 0
         assert len(cls.facets) == 2 ** (n - 1)
         assert len({f.normal for f in cls.facets}) == 2 ** (n - 1)
         for facet in cls.facets:
-            assert fraction_rank(facet.points(cfg)) == len(facet.point_indices) == n - 1
+            assert fraction_rank(tight_points(g, facet)) == len(facet.point_indices) == n - 1
 
 
 def _assert_class_facts(g) -> None:
     """Every facet is balanced, spans and connects all N vertices (rank
     N - 1, so dim N - 2), has its class's corank, and is independent iff
     that corank is 0."""
-    cfg = PointConfiguration(g)
     cycles = all_cycles(g)
     for cls in enumerate_facet_classes(g):
         corank = cls.subgraph.cyclomatic_number()
         for facet in cls.facets:
-            edges = [cfg.point_edges[i] for i in facet.point_indices]
-            rank = fraction_rank(facet.points(cfg))
+            edges = [g.edges[i >> 1] for i in facet.point_indices]
+            rank = fraction_rank(tight_points(g, facet))
             assert corank == cyclomatic_number(edges, g)
             assert corank == len(edges) - rank
             assert connected_spanning(edges, g.vertex_count)
             assert rank - 1 == g.vertex_count - 2
             assert (rank == len(edges)) == (corank == 0)
-            assert balanced_on_all_cycles(cycles, tight_edges(cfg, facet))
+            assert balanced_on_all_cycles(cycles, tight_edges(g, facet))
 
 
 class TestFaceSubgraphs:
@@ -577,10 +566,9 @@ class TestFaceSubgraphs:
                 common = set(f1.point_indices) & set(f2.point_indices)
                 if not common:
                     continue
-                cfg = PointConfiguration(g)
                 edges = set()
                 for idx in common:
-                    i, j = cfg.directed_edges[idx]
+                    i, j = g.directed_edges[idx]
                     edges.add((i, j) if i < j else (j, i))
                 for comp_edges, comp_vertices in _components(edges):
                     induced = [
@@ -619,18 +607,16 @@ def _components(edges):
 class TestBalancing:
     def test_all_c4_facets(self):
         g = cycle_graph(4)
-        cfg = PointConfiguration(g)
         cycles = all_cycles(g)
         assert all(
-            balanced_on_all_cycles(cycles, tight_edges(cfg, f))
+            balanced_on_all_cycles(cycles, tight_edges(g, f))
             for f in enumerate_all_facets(g)
         )
 
     def test_all_joined_cycle_facets(self, joined45):
-        cfg = PointConfiguration(joined45)
         cycles = all_cycles(joined45)
         assert all(
-            balanced_on_all_cycles(cycles, tight_edges(cfg, f))
+            balanced_on_all_cycles(cycles, tight_edges(joined45, f))
             for f in enumerate_all_facets(joined45)
         )
 
@@ -645,19 +631,17 @@ class TestBalancing:
     def test_matches_cycle_oracle_on_facets(self):
         checked = 0
         for g in exhaustive_corpus(5):
-            cfg = PointConfiguration(g)
             cycles = all_cycles(g)
             for facet in enumerate_all_facets(g):
-                assert balanced_on_all_cycles(cycles, tight_edges(cfg, facet))
+                assert balanced_on_all_cycles(cycles, tight_edges(g, facet))
                 checked += 1
         assert checked > 10_000
 
     def test_c40_facet(self):
         # alternating 0/1 potentials make every edge of C40 tight
         g = cycle_graph(40)
-        cfg = PointConfiguration(g)
-        facet = verify_facet(cfg, tuple((v - 1) % 2 for v in range(2, 41)))
-        edges = tight_edges(cfg, facet)
+        facet = verify_facet(g, tuple((v - 1) % 2 for v in range(2, 41)))
+        edges = tight_edges(g, facet)
         assert len(edges) == 40
         cycles = all_cycles(g)
         assert balanced_on_all_cycles(cycles, edges)

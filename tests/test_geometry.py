@@ -1,4 +1,4 @@
-"""Point configurations, facet verification, and the brute-force oracle."""
+"""Configuration points, facet verification, and the brute-force oracle."""
 
 import dataclasses
 import itertools
@@ -15,7 +15,6 @@ from adjpoly import (
     Graph,
     InternalInconsistency,
     NotAFacet,
-    PointConfiguration,
     TooLarge,
     ZeroNormal,
     brute_force_facets,
@@ -25,7 +24,7 @@ from adjpoly import (
     verify_facet,
 )
 from adjpoly import geometry, linalg
-from adjpoly.geometry import edge_point
+from adjpoly.geometry import edge_point, points
 from adjpoly.linalg import integer_rank, solve_neg_ones
 
 from conftest import (
@@ -42,6 +41,7 @@ from conftest import (
     random_edges,
     spanning_tree_count,
     tight_edges,
+    tight_points,
     two_color,
     unpruned_brute_force_facets,
 )
@@ -54,52 +54,50 @@ def _even_vertices(normal) -> frozenset:
 
 class TestConfiguration:
     def test_k2(self):
-        cfg = PointConfiguration(parse_edge_list("1 2"))
-        assert cfg.dim == 1
-        assert cfg.points == ((-1,), (1,))
+        g = parse_edge_list("1 2")
+        assert g.n == 1
+        assert points(g) == ((-1,), (1,))
 
     def test_triangle_hexagon(self):
-        cfg = PointConfiguration(cycle_graph(3))
-        assert set(cfg.points) == {
+        g = cycle_graph(3)
+        assert set(points(g)) == {
             (-1, 0), (1, 0), (0, -1), (0, 1), (1, -1), (-1, 1),
         }
 
     def test_c4_eight_points(self):
-        cfg = PointConfiguration(cycle_graph(4))
-        assert cfg.dim == 3
-        assert len(cfg.points) == 8
+        g = cycle_graph(4)
+        assert g.n == 3
+        assert len(points(g)) == 8
 
     def test_order_pairs_signed(self):
-        cfg = PointConfiguration(cycle_graph(3))
-        for k in range(cfg.graph.m):
-            assert cfg.points[2 * k] == tuple(-x for x in cfg.points[2 * k + 1])
-            i, j = cfg.graph.edges[k]
-            assert cfg.directed_edges[2 * k] == (i, j)
-            assert cfg.directed_edges[2 * k + 1] == (j, i)
+        g = cycle_graph(3)
+        encoded = points(g)
+        for k in range(g.m):
+            assert encoded[2 * k] == tuple(-x for x in encoded[2 * k + 1])
 
     def test_central_symmetry_everywhere(self):
         for g in exhaustive_corpus(5):
-            cfg = PointConfiguration(g)
-            points = set(cfg.points)
-            assert all(tuple(-x for x in p) in points for p in points)
+            encoded = set(points(g))
+            assert all(tuple(-x for x in p) in encoded for p in encoded)
 
     def test_points_encode_directed_edges(self):
-        for g in exhaustive_corpus(4):
-            cfg = PointConfiguration(g)
-            for point, (t, h) in zip(cfg.points, cfg.directed_edges):
-                assert edge_point(cfg.dim, t, h) == point
+        for g in exhaustive_corpus(5):
+            encoded = points(g)
+            assert len(encoded) == len(g.directed_edges) == 2 * g.m
+            for i, edge in enumerate(g.directed_edges):
+                assert encoded[i] == edge_point(g.n, *edge)
 
     def test_point_tables(self):
-        for g in exhaustive_corpus(4):
-            cfg = PointConfiguration(g)
-            assert cfg.point_edges == tuple(e for e in g.edges for _ in range(2))
+        for g in exhaustive_corpus(5):
+            for k, edge in enumerate(g.edges):
+                assert g.directed_edges[2 * k] == edge
+                assert g.directed_edges[2 * k + 1] == edge[::-1]
 
     def test_full_dimensional(self):
         for g in exhaustive_corpus(4):
-            cfg = PointConfiguration(g)
-            base = cfg.points[0]
-            diffs = [[a - b for a, b in zip(p, base)] for p in cfg.points[1:]]
-            assert fraction_rank(diffs) == cfg.dim
+            base, *rest = points(g)
+            diffs = [[a - b for a, b in zip(p, base)] for p in rest]
+            assert fraction_rank(diffs) == g.n
 
 
 class TestIntegerRank:
@@ -200,70 +198,68 @@ class TestSolveNegOnes:
 class TestVerifyFacet:
     def test_k2_normal_one(self):
         g = parse_edge_list("1 2")
-        cfg = PointConfiguration(g)
-        facet = verify_facet(cfg, (1,))
-        assert facet.points(cfg) == ((-1,),)
-        assert tight_edges(cfg, facet) == ((1, 2),)
+        facet = verify_facet(g, (1,))
+        assert tight_points(g, facet) == ((-1,),)
+        assert tight_edges(g, facet) == ((1, 2),)
         assert facet.normal == (1,)
         # the lone edge connects both vertices: dim 2 - 2 = 0, corank 0
         (cls,) = enumerate_facet_classes(g)
         assert facet in cls.facets
         assert cls.subgraph.cyclomatic_number() == 0
-        assert connected_spanning(tight_edges(cfg, facet), 2)
+        assert connected_spanning(tight_edges(g, facet), 2)
 
     def test_c4_canonical_normal(self):
         # reduced form of the half-vector for V+ = {1,3}: entries a_v - a_1
         g = cycle_graph(4)
-        cfg = PointConfiguration(g)
-        facet = verify_facet(cfg, (-1, 0, -1))
+        facet = verify_facet(g, (-1, 0, -1))
         assert len(facet.point_indices) == 4
-        assert tuple(cfg.point_edges[i] for i in facet.point_indices) == g.edges
+        assert tuple(g.edges[i >> 1] for i in facet.point_indices) == g.edges
         assert _even_vertices(facet.normal) == {1, 3}
         # the tight 4-cycle connects all 4 vertices: dim 4 - 2 = 2, corank 1
         (cls,) = enumerate_facet_classes(g)
         assert facet in cls.facets
         assert cls.subgraph.cyclomatic_number() == 1
-        assert connected_spanning(tight_edges(cfg, facet), 4)
+        assert connected_spanning(tight_edges(g, facet), 4)
 
     def test_c4_min_set_too_small(self):
-        cfg = PointConfiguration(cycle_graph(4))
+        g = cycle_graph(4)
         with pytest.raises(NotAFacet):
-            verify_facet(cfg, (1, 0, 0))
+            verify_facet(g, (1, 0, 0))
 
     def test_zero_normal(self):
-        cfg = PointConfiguration(cycle_graph(4))
+        g = cycle_graph(4)
         with pytest.raises(ZeroNormal):
-            verify_facet(cfg, (0, 0, 0))
+            verify_facet(g, (0, 0, 0))
 
     def test_scaled_normal_reduced_to_primitive(self):
-        cfg = PointConfiguration(cycle_graph(4))
-        facet = verify_facet(cfg, (-3, 0, -3))
+        g = cycle_graph(4)
+        facet = verify_facet(g, (-3, 0, -3))
         assert facet.normal == (-1, 0, -1)
 
     def test_rational_normal_rejected(self):
-        cfg = PointConfiguration(cycle_graph(4))
+        g = cycle_graph(4)
         normal = (Fraction(-1, 2), 0, Fraction(-1, 2))
         with pytest.raises(ValueError, match=re.escape(f"normal {normal}")):
-            verify_facet(cfg, normal)
+            verify_facet(g, normal)
 
     def test_facet_normal_accepted(self):
-        cfg = PointConfiguration(cycle_graph(4))
-        facet = verify_facet(cfg, [-1, 0, -1])
+        g = cycle_graph(4)
+        facet = verify_facet(g, [-1, 0, -1])
         assert facet.normal == (-1, 0, -1)
-        assert verify_facet(cfg, facet.normal) == facet
+        assert verify_facet(g, facet.normal) == facet
 
     @pytest.mark.parametrize("normal", [(True, False), (1, True)])
     def test_bool_normal_rejected(self, normal):
         # both would be facets of C3 if the bools were read as 1 and 0
-        cfg = PointConfiguration(cycle_graph(3))
+        g = cycle_graph(3)
         with pytest.raises(ValueError, match=re.escape(f"normal {normal}")):
-            verify_facet(cfg, normal)
+            verify_facet(g, normal)
 
     @pytest.mark.parametrize("normal", [None, 5])
     def test_non_iterable_normal_rejected(self, normal):
-        cfg = PointConfiguration(cycle_graph(4))
+        g = cycle_graph(4)
         with pytest.raises(ValueError, match=re.escape(f"normal {normal}")):
-            verify_facet(cfg, normal)
+            verify_facet(g, normal)
 
     @pytest.mark.parametrize(
         "normal, message",
@@ -275,9 +271,9 @@ class TestVerifyFacet:
     )
     def test_unprintable_normal_keeps_its_message(self, normal, message):
         # Python raises ValueError rather than print an int of over 4,300 digits
-        cfg = PointConfiguration(cycle_graph(3))
+        g = cycle_graph(3)
         with pytest.raises(ValueError, match=message):
-            verify_facet(cfg, normal)
+            verify_facet(g, normal)
 
     def test_facet_holds_its_normal_and_point_indices(self):
         fields = [f.name for f in dataclasses.fields(Facet)]
@@ -285,10 +281,10 @@ class TestVerifyFacet:
 
     def test_supporting_values_exact(self):
         # reflexivity: the primitive normal itself attains -1, no rescaling
-        cfg = PointConfiguration(cycle_graph(4))
-        facet = verify_facet(cfg, (-3, 0, -3))
+        g = cycle_graph(4)
+        facet = verify_facet(g, (-3, 0, -3))
         on_facet = set(facet.point_indices)
-        for idx, point in enumerate(cfg.points):
+        for idx, point in enumerate(points(g)):
             value = sum(c * x for c, x in zip(facet.normal, point))
             if idx in on_facet:
                 assert value == -1
@@ -298,16 +294,15 @@ class TestVerifyFacet:
     def test_minimum_other_than_minus_one_is_inconsistent(self, monkeypatch):
         # (2, 1, 0) on C4 attains -2, so it is no facet; with the rank
         # check forced to pass, the -1 assertion must catch it
-        cfg = PointConfiguration(cycle_graph(4))
-        monkeypatch.setattr(linalg, "integer_rank", lambda edges: cfg.dim)
+        g = cycle_graph(4)
+        monkeypatch.setattr(linalg, "integer_rank", lambda edges: g.n)
         with pytest.raises(InternalInconsistency, match="minimum -2"):
-            verify_facet(cfg, (2, 1, 0))
+            verify_facet(g, (2, 1, 0))
 
     def test_parity_bipartition_matches_two_coloring(self, joined45):
         for g in list(exhaustive_corpus(5)) + [joined45]:
-            cfg = PointConfiguration(g)
             for facet in enumerate_all_facets(g):
-                edges = [cfg.point_edges[i] for i in facet.point_indices]
+                edges = [g.edges[i >> 1] for i in facet.point_indices]
                 plus, _ = two_color(edges, g.vertex_count)
                 assert _even_vertices(facet.normal) == plus
 
@@ -319,14 +314,13 @@ class TestVerifyFacet:
         # sides, dim and corank are its class's
         graphs = list(exhaustive_corpus(5)) + list(n6_sample_graphs().values())
         for g in graphs:
-            cfg = PointConfiguration(g)
             for cls in enumerate_facet_classes(g):
                 b = cls.subgraph
                 for f in cls.facets:
-                    assert verify_facet(cfg, f.normal) == f
-                    edges = tight_edges(cfg, f)
+                    assert verify_facet(g, f.normal) == f
+                    edges = tight_edges(g, f)
                     assert _even_vertices(f.normal) == b.plus
-                    assert tuple(cfg.point_edges[i] for i in f.point_indices) == b.edges
+                    assert tuple(g.edges[i >> 1] for i in f.point_indices) == b.edges
                     # connected and spanning, so dim N - 2
                     assert connected_spanning(edges, g.vertex_count)
                     assert b.cyclomatic_number() == cyclomatic_number(edges, g)
@@ -353,17 +347,16 @@ class TestPrimitive:
 
 class TestBruteForceOracle:
     def test_k2(self):
-        cfg = PointConfiguration(parse_edge_list("1 2"))
-        facets = brute_force_facets(cfg)
+        g = parse_edge_list("1 2")
+        facets = brute_force_facets(g)
         assert [f.normal for f in facets] == [(-1,), (1,)]
 
     def test_c4_six_facets(self):
-        cfg = PointConfiguration(cycle_graph(4))
-        assert len(brute_force_facets(cfg)) == 6
+        g = cycle_graph(4)
+        assert len(brute_force_facets(g)) == 6
 
     def test_joined_cycles_108(self, joined45):
-        cfg = PointConfiguration(joined45)
-        assert len(brute_force_facets(cfg)) == 108
+        assert len(brute_force_facets(joined45)) == 108
 
     @pytest.mark.parametrize(
         "g, count",
@@ -384,23 +377,23 @@ class TestBruteForceOracle:
         + [pytest.param(Graph(9, [(1, v) for v in range(2, 10)]), 2**8, id="K1,8")],
     )
     def test_closed_form_counts(self, g, count):
-        assert len(brute_force_facets(PointConfiguration(g))) == count
+        assert len(brute_force_facets(g)) == count
 
     def test_guard_rail(self):
         big = cycle_graph(10)
         with pytest.raises(TooLarge):
-            brute_force_facets(PointConfiguration(big))
+            brute_force_facets(big)
 
     def test_no_duplicate_normals_and_sorted(self):
         for g in exhaustive_corpus(4):
-            facets = brute_force_facets(PointConfiguration(g))
+            facets = brute_force_facets(g)
             normals = [f.normal for f in facets]
             assert len(set(normals)) == len(normals)
             assert normals == sorted(normals)
 
     def test_facets_closed_under_negation(self):
-        cfg = PointConfiguration(cycle_graph(4))
-        facets = brute_force_facets(cfg)
+        g = cycle_graph(4)
+        facets = brute_force_facets(g)
         normals = {f.normal for f in facets}
         by_normal = {f.normal: f for f in facets}
         for normal, facet in by_normal.items():
@@ -408,13 +401,13 @@ class TestBruteForceOracle:
             assert negated in normals
             mirror = by_normal[negated]
             assert {
-                tuple(-x for x in p) for p in facet.points(cfg)
-            } == set(mirror.points(cfg))
+                tuple(-x for x in p) for p in tight_points(g, facet)
+            } == set(tight_points(g, mirror))
 
     def test_every_oracle_facet_reverifies(self):
-        cfg = PointConfiguration(cycle_graph(4))
-        for facet in brute_force_facets(cfg):
-            again = verify_facet(cfg, facet.normal)
+        g = cycle_graph(4)
+        for facet in brute_force_facets(g):
+            again = verify_facet(g, facet.normal)
             assert again.point_indices == facet.point_indices
 
     def test_rank_skip_matches_unpruned_loop(self, monkeypatch):
@@ -428,13 +421,12 @@ class TestBruteForceOracle:
 
         monkeypatch.setattr(linalg, "solve_neg_ones", counted)
         for g in list(exhaustive_corpus(5)) + list(n6_sample_graphs().values()):
-            cfg = PointConfiguration(g)
             solves = 0
-            facets = brute_force_facets(cfg)
+            facets = brute_force_facets(g)
             # only the spanning trees are independent n-edge sets, and
             # each is solved once for all its 2^n orientations
             assert solves == spanning_tree_count(g), g.edges
-            assert facets == unpruned_brute_force_facets(cfg), g.edges
+            assert facets == unpruned_brute_force_facets(g), g.edges
 
     def test_orientation_walk_matches_fresh_solves(self):
         for g in list(exhaustive_corpus(4)) + list(n6_sample_graphs().values()):

@@ -136,6 +136,27 @@ class TestParseEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list(line)
 
+    # int() refuses a string of over 4,300 digits, leading zeros included;
+    # such a label fits the grammar, so the message names its digit count
+    # and does not echo the line
+    @pytest.mark.parametrize(
+        "line, digits",
+        [
+            ("1 " + "9" * 4301, 4301),
+            ("2 " + "0" * 5000 + "3", 5001),
+            ("-" + "9" * 4301 + " 1", 4301),
+        ],
+        ids=["nines", "leading_zeros", "negative"],
+    )
+    def test_oversized_label_named_by_digit_count(self, line, digits):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list("1 2\n" + line)
+        assert str(info.value) == f"line 2: {digits}-digit integer is too long"
+
+    def test_grammar_checked_before_size(self):
+        with pytest.raises(ParseError, match="non-integer label in '1_0 "):
+            parse_edge_list("1_0 " + "9" * 4301)
+
     # True == 1 and 3.0 == 3, so comparisons alone would let these through
     @pytest.mark.parametrize(
         "vertex_count, edges",

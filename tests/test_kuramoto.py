@@ -8,7 +8,6 @@ import pytest
 from adjpoly import (
     DomainError,
     InternalInconsistency,
-    PointConfiguration,
     enumerate_all_facets,
     enumerate_facet_classes,
     facet_subsystem_support,
@@ -17,14 +16,14 @@ from adjpoly import (
     parse_edge_list,
     unmixed_support,
 )
-from adjpoly import kuramoto
+from adjpoly import geometry, kuramoto
 from adjpoly.kuramoto import (
     homogenization_file_text,
     seeded_coefficients,
     support_file_text,
 )
 
-from conftest import cycle_graph
+from conftest import cycle_graph, tight_points
 
 
 K2 = parse_edge_list("1 2")
@@ -64,14 +63,13 @@ class TestFacetSubsystemSupport:
     def test_k2_facet(self):
         facet = enumerate_all_facets(K2)[0]
         support = facet_subsystem_support(K2, facet)
-        assert support == tuple(sorted({facet.points(PointConfiguration(K2))[0], (0,)}))
+        assert support == tuple(sorted({tight_points(K2, facet)[0], (0,)}))
 
     def test_c4_canonical(self):
         g = cycle_graph(4)
         facet = [f for f in enumerate_all_facets(g) if f.normal == (-1, 0, -1)][0]
         support = facet_subsystem_support(g, facet)
-        cfg = PointConfiguration(g)
-        assert support == tuple(sorted(set(facet.points(cfg)) | {(0, 0, 0)}))
+        assert support == tuple(sorted(set(tight_points(g, facet)) | {(0, 0, 0)}))
         assert len(support) == 5
 
     def test_joined_4_5_corank1_has_8(self, joined45):
@@ -85,13 +83,12 @@ class TestFacetSubsystemSupport:
         assert len(facet_subsystem_support(joined45, facet)) == 8
 
     def test_strip_origin_gives_facet_points(self, joined45):
-        cfg = PointConfiguration(joined45)
         for facet in enumerate_all_facets(joined45)[:10]:
             subsystem = facet_subsystem_support(joined45, facet)
-            origin = (0,) * cfg.dim
+            origin = (0,) * joined45.n
             assert list(subsystem) == sorted(subsystem)
             assert subsystem.count(origin) == 1
-            assert set(subsystem) - {origin} == set(facet.points(cfg))
+            assert set(subsystem) - {origin} == set(tight_points(joined45, facet))
 
 
 def _dot(row, point):
@@ -109,7 +106,7 @@ class TestHomogenization:
         rows = homogenization_data(g)
         assert len(rows) == 6
         assert all(len(row) == 3 for row in rows)
-        points = PointConfiguration(g).points
+        points = geometry.points(g)
         assert [min(_dot(row, p) for p in points) for row in rows] == [-1] * 6
 
     def test_rows_follow_enumeration_order(self, joined45):
