@@ -22,7 +22,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import counting, facets as facets_mod, geometry, kuramoto
-from .errors import AdjPolyError, InternalInconsistency, TooLarge
+from .errors import AdjPolyError, InternalInconsistency, TooLarge, show
 from .graphs import (
     _LABEL,
     Graph,
@@ -259,7 +259,7 @@ def _cmd_kuramoto_support(args) -> tuple[int, str]:
     if args.seed is not None:
         kuramoto.check_seed(args.seed)
     if args.facet is not None and args.facet < 0:
-        raise AdjPolyError(f"--facet {args.facet} must be >= 0")
+        raise AdjPolyError(f"--facet {show(args.facet)} must be >= 0")
     g = _load_graph(args.file)
     if args.homogenize:
         rows = kuramoto.homogenization_data(g)
@@ -269,7 +269,7 @@ def _cmd_kuramoto_support(args) -> tuple[int, str]:
             all_facets = facets_mod.enumerate_all_facets(g)
             if not 0 <= args.facet < len(all_facets):
                 raise AdjPolyError(
-                    f"--facet {args.facet} out of range 0..{len(all_facets) - 1}"
+                    f"--facet {show(args.facet)} out of range 0..{len(all_facets) - 1}"
                 )
             support = kuramoto.facet_subsystem_support(g, all_facets[args.facet])
             lifts = None

@@ -34,8 +34,13 @@ class DomainError(AdjPolyError):
 
 
 def show(value: object) -> str:
-    """repr(value), or a stand-in where repr refuses an int of over 4,300 digits."""
+    """repr(value), but an int of over 20 digits as `<D-digit int>`, signed,
+    and one that repr refuses (past 4,300 digits) as a stand-in."""
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
+    digits = len(text.lstrip("-"))
+    if isinstance(value, int) and digits > 20:
+        return f"{text[:-digits]}<{digits}-digit int>"
+    return text

@@ -152,14 +152,14 @@ def brute_force_facets(g: Graph) -> list[Facet]:
     For every n-subset of points that spans a hyperplane avoiding the
     origin, takes the exact solution a of <x, a> = -1 and accepts the
     hyperplane iff the whole configuration lies on the far side.  Such a
-    subset is one orientation of the edges of a spanning tree, and a is
-    read as vertex potentials, as in verify_facet, so the point of (t, h)
-    takes a_t - a_h.  Edge sets of rank < n are skipped; each spanning
-    tree is solved once by `linalg.solve_neg_ones`, and `_orientation_walk`
-    derives the potentials of all its 2^n orientations from that solution
-    in Gray-code order.  The tree edge at vertex 1 gives a an entry +-1,
-    so a is primitive.  Output is deduplicated by normal and sorted
-    lexicographically by it.
+    subset orients a spanning tree's edges, and a, read as potentials
+    (the point of (t, h) takes a_t - a_h), puts each tree edge at -1 one
+    way and +1 the other; so only the m - n chords, the edges not in the
+    tree, are tested: |a_u - a_v| <= 1 on each.  Each spanning tree is
+    solved once by `linalg.solve_neg_ones`, and `_orientation_walk` walks
+    its 2^n orientations in Gray-code order.  The tree edge at vertex 1
+    makes a primitive.  Normals come sorted; one that verify_facet rejects
+    is an oracle fault and raises InternalInconsistency.
     """
     n = g.n
     if n > BRUTE_FORCE_MAX_DIM or 2 * g.m > BRUTE_FORCE_MAX_POINTS:
@@ -175,7 +175,17 @@ def brute_force_facets(g: Graph) -> list[Facet]:
         # in all 2^n orientations
         if linalg.integer_rank(tree) < n:
             continue
+        chords = [e for e in g.edges if e not in tree]
         for _, pot in _orientation_walk(tree):
-            if all(pot[t] - pot[h] >= -1 for t, h in g.directed_edges):
+            for u, v in chords:
+                if abs(pot[u] - pot[v]) > 1:
+                    break
+            else:
                 found.add(tuple(pot[2:]))
-    return [verify_facet(g, key) for key in sorted(found)]
+    facets = []
+    for key in sorted(found):
+        try:
+            facets.append(verify_facet(g, key))
+        except NotAFacet as exc:
+            raise InternalInconsistency(f"oracle accepted normal {key}: {exc}") from None
+    return facets

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from adjpoly import Graph, ValidationError, parse_edge_list
-from adjpoly.geometry import points, verify_facet
+from adjpoly.geometry import _orientation_walk, points, verify_facet
 from adjpoly.graphs import MaxBipartiteSubgraph
-from adjpoly.linalg import primitive, solve_neg_ones
+from adjpoly.linalg import integer_rank, primitive, solve_neg_ones
 
 DATA = Path(__file__).parent / "data"
 
@@ -225,6 +225,20 @@ def unpruned_brute_force_facets(g: Graph):
                 for point in encoded
             ):
                 found.add(primitive(nums))
+    return [verify_facet(g, key) for key in sorted(found)]
+
+
+def all_points_brute_force_facets(g: Graph):
+    """Reference: the hyperplane oracle's loop, walking the orientations of
+    every spanning tree but testing each solution against all 2m points,
+    the tree's own edges included, rather than against its chords only."""
+    found = set()
+    for tree in itertools.combinations(g.edges, g.n):
+        if integer_rank(tree) < g.n:
+            continue
+        for _, pot in _orientation_walk(tree):
+            if all(pot[t] - pot[h] >= -1 for t, h in g.directed_edges):
+                found.add(tuple(pot[2:]))
     return [verify_facet(g, key) for key in sorted(found)]
 
 

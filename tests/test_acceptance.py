@@ -12,6 +12,7 @@ import time
 from math import comb
 
 from adjpoly import (
+    Graph,
     brute_force_facets,
     enumerate_all_facets,
     enumerate_facet_classes,
@@ -26,6 +27,7 @@ from adjpoly.cli import run
 
 from conftest import (
     all_cycles,
+    all_points_brute_force_facets,
     balanced_on_all_cycles,
     complete_graph,
     connected_spanning,
@@ -48,8 +50,9 @@ def _report(number: int, description: str) -> None:
 
 def _oracle_corpus(joined45):
     """Exhaustive labeled N <= 5, the fixed N = 6 sample, the 7-vertex
-    joined-cycle graph, 12 seeded random graphs with N = 7-8, and the
-    benchmark's named graphs that fit the oracle guard."""
+    joined-cycle graph, 12 seeded random graphs with N = 7-8, the
+    benchmark's named graphs that fit the oracle guard, and the dense
+    graphs of `_dense_graphs`."""
     return (
         list(exhaustive_corpus(5))
         + list(n6_sample_graphs().values())
@@ -62,7 +65,35 @@ def _oracle_corpus(joined45):
             joined_cycles_graph(2, 3),
             joined_cycles_graph(3, 2),
         ]
+        + _dense_graphs()
     )
+
+
+def _dense_graphs() -> list:
+    """K_{3,3}, K_{3,4}, the prism C3 x K2, the wheels W6 and W7 (a hub
+    joined to every vertex of a 6- or 7-cycle) and the cube Q3.  K_{3,3}
+    and the prism take their parts and triangles on odd and even labels,
+    so they are not the N = 6 sample's labelings."""
+    odd, even = (1, 3, 5), (2, 4, 6)
+
+    def wheel(rim: int) -> Graph:
+        cycle = list(range(2, rim + 2))
+        rim_edges = zip(cycle, cycle[1:] + cycle[:1])
+        return Graph(rim + 1, [(1, v) for v in cycle] + list(rim_edges))
+
+    return [
+        Graph(6, [(u, v) for u in odd for v in even]),
+        Graph(7, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6, 7)]),
+        Graph(
+            6,
+            [*itertools.combinations(odd, 2), *itertools.combinations(even, 2)]
+            + [(1, 2), (3, 4), (5, 6)],
+        ),
+        wheel(6),
+        wheel(7),
+        # labels 1..8 are 0..7 plus one, and an edge flips one bit
+        Graph(8, [(u + 1, u + 1 + b) for u in range(8) for b in (1, 2, 4) if not u & b]),
+    ]
 
 
 def _random_sparse_graphs() -> list:
@@ -108,6 +139,13 @@ def test_criterion_2_oracle_equivalence(joined45):
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     _report(2, f"{checked} graphs, zero discrepancies, {elapsed:.1f}s")
+
+
+def test_oracle_chord_test_matches_all_points(joined45):
+    # the oracle tests each spanning tree's chords only; the reference
+    # tests all 2m points, and the two must return the same facets
+    for g in _oracle_corpus(joined45):
+        assert brute_force_facets(g) == all_points_brute_force_facets(g), g.edges
 
 
 def test_criterion_3_even_cycle_counts():

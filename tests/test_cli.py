@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import adjpoly
-from adjpoly import cli, graphs
+from adjpoly import cli, geometry, graphs
+from adjpoly.errors import show
 from adjpoly.cli import run
 from adjpoly.facets import enumerate_facet_classes
 
@@ -219,6 +220,22 @@ class TestOracleCheck:
         )
 
 
+    def test_oracle_fault_exits_3(self, c4_file, monkeypatch):
+        # (0, 0, 1) passes every chord test on C4, but its tight points
+        # (3, 4) and (1, 4) span a line, not a facet
+        def bogus_walk(tree):
+            yield 0, [0, 0, 0, 0, 1]
+
+        monkeypatch.setattr(geometry, "_orientation_walk", bogus_walk)
+        result = run(["oracle-check", c4_file])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "internal inconsistency: oracle accepted normal (0, 0, 1): "
+            "minimizer set has affine dimension != 2\n"
+        )
+
+
 class TestPath31:
     """A 31-vertex path: n = 30 passes the sign-search guard, and its one
     class has 2^30 facets."""
@@ -322,6 +339,51 @@ class TestJoinedCycles:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert f"m1 + m2 = {2 + int(m2)} (bound 7000)" in result.stderr
+
+
+class TestLongIntegersNotEchoed:
+    """A printable int of over 20 digits is named by its digit count."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["joined-cycles", "9" * 4300, "1"], 2),
+            (["kuramoto-support", "C4", "--facet", "9" * 4300], 1),
+            (["kuramoto-support", "C4", "--facet", "-" + "9" * 4300], 1),
+            (["kuramoto-support", "C4", "--seed", "9" * 4300], 1),
+        ],
+        ids=["joined_cycles", "facet", "negative_facet", "seed"],
+    )
+    def test_stderr_stays_short(self, c4_file, argv, code):
+        result = run([c4_file if a == "C4" else a for a in argv])
+        assert result.exit_code == code
+        assert result.stdout == ""
+        assert "<4300-digit int>" in result.stderr
+        assert len(result.stderr.encode()) <= 200
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (10**20 - 1, "9" * 20),
+            (-(10**20 - 1), "-" + "9" * 20),
+            (10**20, "<21-digit int>"),
+            (-(10**20), "-<21-digit int>"),
+            (10**4300, "<int too long to print>"),
+            ((10**20,), repr((10**20,))),
+            ("9" * 30, repr("9" * 30)),
+        ],
+        ids=[
+            "20_digits",
+            "minus_20",
+            "21_digits",
+            "minus_21",
+            "unprintable",
+            "tuple",
+            "str",
+        ],
+    )
+    def test_show(self, value, text):
+        assert show(value) == text
 
 
 class TestKuramotoSupport:
