@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 from collections import Counter
+from itertools import compress
 from pathlib import Path
 
 from . import counting, facets as facets_mod, geometry, kuramoto
@@ -26,6 +27,7 @@ from .errors import AdjPolyError, InternalInconsistency, TooLarge, show
 from .graphs import (
     _LABEL,
     Graph,
+    _bits,
     enumerate_maximal_bipartite_subgraphs,
     has_even_cycle,
     parse_edge_list,
@@ -142,9 +144,11 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(data)
 
 
-def _bipartition_lines(b) -> list[str]:
-    plus = " ".join(str(v) for v in sorted(b.plus))
-    minus = " ".join(str(v) for v in sorted(b.minus))
+def _bipartition_lines(b, labels: list[str]) -> list[str]:
+    # labels[v] is str(v); bit 0 of a side mask is never set
+    everyone = (1 << len(labels)) - 2
+    plus = " ".join(compress(labels, _bits(b.plus_mask)))
+    minus = " ".join(compress(labels, _bits(everyone ^ b.plus_mask)))
     return [f"  V+ = {plus}", f"  V- = {minus}"]
 
 
@@ -179,9 +183,10 @@ def _cmd_facets(args) -> tuple[int, str]:
             f'"total": {total}}}\n'
         )
     lines = [f"graph: N={g.vertex_count} m={g.m}"]
+    labels = [str(v) for v in range(g.vertex_count + 1)]
     for index, (cls, corank) in enumerate(zip(classes, coranks)):
         lines.append(f"class {index}: corank={corank} size={len(cls.facets)}")
-        lines.extend(_bipartition_lines(cls.subgraph))
+        lines.extend(_bipartition_lines(cls.subgraph, labels))
         for f in cls.facets:
             lines.append("  normal " + " ".join(str(c) for c in f.normal))
     lines.append(f"total {total}")
@@ -221,11 +226,12 @@ def _cmd_bipartite(args) -> tuple[int, str]:
     g = _load_graph(args.file)
     subs = enumerate_maximal_bipartite_subgraphs(g)
     lines = [f"maximal bipartite subgraphs: {len(subs)}"]
+    labels = [str(v) for v in range(g.vertex_count + 1)]
     for idx, b in enumerate(subs):
         lines.append(
-            f"subgraph {idx}: edges={len(b.edges)} corank={b.cyclomatic_number()}"
+            f"subgraph {idx}: edges={b.cut.bit_count()} corank={b.cyclomatic_number()}"
         )
-        lines.extend(_bipartition_lines(b))
+        lines.extend(_bipartition_lines(b, labels))
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

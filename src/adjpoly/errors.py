@@ -35,7 +35,11 @@ class DomainError(AdjPolyError):
 
 def show(value: object) -> str:
     """repr(value), but an int of over 20 digits as `<D-digit int>`, signed,
-    and one that repr refuses (past 4,300 digits) as a stand-in."""
+    and one that repr refuses (past 4,300 digits) as a stand-in; a tuple
+    shows each item this way."""
+    if type(value) is tuple:
+        items = ", ".join(map(show, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
     try:
         text = repr(value)
     except ValueError:

@@ -32,7 +32,8 @@ class FacetClass:
     The class data is held here once, not per facet: each facet's tight
     points orient subgraph.edges once each, in graph order, point index i
     orienting g.edges[i >> 1]; its corank is subgraph.cyclomatic_number();
-    and the even potentials of its normal, vertex 1 at 0, are subgraph.plus.
+    and the even potentials of its normal, vertex 1 at 0, are the set bits
+    of subgraph.plus_mask.
     """
 
     subgraph: MaxBipartiteSubgraph
@@ -44,31 +45,31 @@ def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> tuple[tuple, ...]:
 
     Each step is a plain tuple (vertex, parent, sign, checks) for one
     vertex of the tree: f(vertex) = f(parent) + sign * d_k.  sign is +1
-    when vertex is in b.plus and -1 when it is in b.minus, so the tree
-    edge oriented from minus to plus is (parent, vertex) when sign is +1
-    and (vertex, parent) otherwise; d_k = +1 puts it among the facet's
-    directed edges and d_k = -1 puts its reverse there.  checks holds
-    (u, gap) for every other edge of g from vertex to an earlier vertex u:
-    |f(vertex) - f(u)| must be gap, 1 on edges of b and 0 on the other
-    edges of g.  The edges of b are the edges of g between b.plus and
-    b.minus, so the BFS follows them, and an edge to an earlier vertex
-    needs a gap of 1 exactly when it crosses.
+    when vertex is on b's plus side (bit vertex of b.plus_mask set) and -1
+    on its minus side, so the tree edge oriented from minus to plus is
+    (parent, vertex) when sign is +1 and (vertex, parent) otherwise;
+    d_k = +1 puts it among the facet's directed edges and d_k = -1 puts its
+    reverse there.  checks holds (u, gap) for every other edge of g from
+    vertex to an earlier vertex u: |f(vertex) - f(u)| must be gap, 1 on
+    edges of b and 0 on the other edges of g.  The edges of b are the edges
+    of g whose ends differ in plus_mask, so the BFS follows them, and an
+    edge to an earlier vertex needs a gap of 1 exactly when it crosses.
     """
-    plus = b.plus
+    plus = b.plus_mask
     parent = {1: 0}
     order = [1]
     for v in order:
         for w in g.adjacency[v]:
-            if w not in parent and (v in plus) != (w in plus):
+            if w not in parent and plus >> w & 1 != plus >> v & 1:
                 parent[w] = v
                 order.append(w)
     position = {v: k for k, v in enumerate(order)}
     steps = []
     for w in order[1:]:
         p = parent[w]
-        on_plus = w in plus
+        on_plus = plus >> w & 1
         checks = tuple(
-            (u, int((u in plus) != on_plus))
+            (u, plus >> u & 1 ^ on_plus)
             for u in g.adjacency[w]
             if u != p and position[u] < position[w]
         )

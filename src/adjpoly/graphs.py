@@ -9,8 +9,9 @@ shared freely across threads.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
-from itertools import compress
+from itertools import compress, count
 from typing import Iterable
 
 from .errors import ParseError, TooLarge, ValidationError, show
@@ -145,9 +146,11 @@ def parse_edge_list(text: str | bytes) -> Graph:
             message = f"line {lineno}: {digits}-digit integer is too long"
             raise ParseError(message) from None
         if u < 1 or v < 1:
-            raise ValidationError(f"line {lineno}: labels must be >= 1, got {line!r}")
+            raise ValidationError(
+                f"line {lineno}: labels must be >= 1, got {show(min(u, v))}"
+            )
         if u == v:
-            raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
+            raise ValidationError(f"line {lineno}: self-loop at vertex {show(u)}")
         edges.append((u, v))
         max_label = max(max_label, u, v)
     if not edges:
@@ -157,19 +160,35 @@ def parse_edge_list(text: str | bytes) -> Graph:
 
 @dataclasses.dataclass(frozen=True)
 class MaxBipartiteSubgraph:
-    """A maximal bipartite subgraph: its two sides and its crossing edges.
+    """A maximal bipartite subgraph of graph, held as two bitmasks.
 
-    Vertex 1 is in plus.  Maximality forces edges to be exactly the edges
-    of g between plus and minus, and to form a connected spanning subgraph.
+    Bit v of plus_mask is set when vertex v is on the plus side (vertex 1
+    is), and bit k of cut when graph.edges[k] crosses between the sides.
+    Maximality forces the crossing edges to be exactly the edges of graph
+    between the sides, and to form a connected spanning subgraph.  The
+    sides plus and minus and the crossing edges, in graph order, are built
+    from the masks on first use; == and hash follow the masks alone.
     """
 
-    plus: frozenset[int]
-    minus: frozenset[int]
-    edges: tuple[Edge, ...]
+    plus_mask: int
+    cut: int
+    graph: Graph = dataclasses.field(compare=False, repr=False)
+
+    @functools.cached_property
+    def plus(self) -> frozenset[int]:
+        return frozenset(compress(count(), _bits(self.plus_mask)))
+
+    @functools.cached_property
+    def minus(self) -> frozenset[int]:
+        return frozenset(self.graph.vertices()) - self.plus
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(compress(self.graph.edges, _bits(self.cut)))
 
     def cyclomatic_number(self) -> int:
         # connected and spanning, so mu = m - (N - 1)
-        return len(self.edges) - (len(self.plus) + len(self.minus) - 1)
+        return self.cut.bit_count() - self.graph.vertex_count + 1
 
 
 def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph]:
@@ -268,13 +287,7 @@ def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph
             stack.append((i + 1, child_plus, child_minus, child_cut, child))
 
     found.sort()
-    vertices = frozenset(g.vertices())
-    results = []
-    for plus_mask, cut in found:
-        plus = frozenset(compress(range(n_vert + 1), _bits(plus_mask)))
-        crossing = tuple(compress(g.edges, _bits(cut)))
-        results.append(MaxBipartiteSubgraph(plus, vertices - plus, crossing))
-    return results
+    return [MaxBipartiteSubgraph(plus, cut, g) for plus, cut in found]
 
 
 class _UnassignedCover:
@@ -361,8 +374,9 @@ def has_even_cycle(g: Graph) -> bool:
     """True iff g contains a cycle of even length.
 
     An even cycle is bipartite, so it extends to some maximal bipartite
-    subgraph, which then has cyclomatic number >= 1; conversely any cycle
-    inside a bipartite subgraph is even.
+    subgraph, which then has cyclomatic number >= 1 (a popcount of its cut
+    mask, so no side or edge set is built); conversely any cycle inside a
+    bipartite subgraph is even.
     """
     return any(
         b.cyclomatic_number() >= 1 for b in enumerate_maximal_bipartite_subgraphs(g)

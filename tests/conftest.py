@@ -157,11 +157,12 @@ def brute_force_max_bipartite(g: Graph) -> set[frozenset]:
     return {s for s in bipartite if not any(s < t for t in bipartite)}
 
 
-def scan_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph]:
+def scan_maximal_bipartite_subgraphs(g: Graph) -> list[tuple]:
     """Oracle: scan all 2^(N-1) bipartitions, keep connected spanning cuts.
 
     Vertex 1 stays on the plus side; bit k of the mask puts vertex k+2 on
-    the plus side, and results come in mask order.
+    the plus side, and results come in mask order.  Each result is built
+    from scratch as (plus, minus, crossing edges in graph order, corank).
     """
     n_vert = g.vertex_count
     results = []
@@ -176,7 +177,8 @@ def scan_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph]:
         if not connected_spanning(crossing, n_vert):
             continue
         minus = frozenset(g.vertices()) - plus
-        results.append(MaxBipartiteSubgraph(frozenset(plus), minus, crossing))
+        corank = cyclomatic_number(crossing, g)
+        results.append((frozenset(plus), minus, crossing, corank))
     return results
 
 

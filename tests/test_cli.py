@@ -369,7 +369,11 @@ class TestLongIntegersNotEchoed:
             (10**20, "<21-digit int>"),
             (-(10**20), "-<21-digit int>"),
             (10**4300, "<int too long to print>"),
-            ((10**20,), repr((10**20,))),
+            ((10**20,), "(<21-digit int>,)"),
+            (
+                (2, (-(10**20), 10**4300)),
+                "(2, (-<21-digit int>, <int too long to print>))",
+            ),
             ("9" * 30, repr("9" * 30)),
         ],
         ids=[
@@ -379,11 +383,30 @@ class TestLongIntegersNotEchoed:
             "minus_21",
             "unprintable",
             "tuple",
+            "nested_tuple",
             "str",
         ],
     )
     def test_show(self, value, text):
         assert show(value) == text
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2\n2 {big}\n2 {big}\n", "duplicate edge (2, <4300-digit int>)"),
+            ("1 2\n{big} {big}\n", "line 2: self-loop at vertex <4300-digit int>"),
+            ("1 2\n1 -{big}\n", "line 2: labels must be >= 1, got -<4300-digit int>"),
+        ],
+        ids=["duplicate_edge", "self_loop", "negative_label"],
+    )
+    def test_edge_list_stderr_stays_short(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text.format(big="9" * 4300))
+        result = run(["count", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+        assert len(result.stderr.encode()) <= 200
 
 
 class TestKuramotoSupport:

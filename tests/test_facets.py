@@ -292,8 +292,8 @@ class TestEnumerateSignVectors:
         # 20,000 tree edges: 2^n has more decimal digits than int -> str
         # allows, so the guard must refuse without printing it
         g = path_graph(20001)
-        odd = frozenset(range(1, 20002, 2))
-        b = MaxBipartiteSubgraph(odd, frozenset(g.vertices()) - odd, g.edges)
+        odd = sum(1 << v for v in range(1, 20002, 2))
+        b = MaxBipartiteSubgraph(odd, (1 << g.m) - 1, g)
         steps = build_cycle_system(g, b)
         assert len(steps) == 20000
         with pytest.raises(TooLarge, match=r"n = 20000 > 30 .* up to 2\^20000 sign"):

@@ -9,6 +9,7 @@ import pytest
 from adjpoly import graphs
 from adjpoly import (
     Graph,
+    MaxBipartiteSubgraph,
     ParseError,
     TooLarge,
     ValidationError,
@@ -278,7 +279,36 @@ class TestMaximalBipartiteSubgraphs:
     def test_matches_scan_oracle_in_order(self, corpus):
         for g in SCAN_CORPORA[corpus]():
             expected = scan_maximal_bipartite_subgraphs(g)
-            assert enumerate_maximal_bipartite_subgraphs(g) == expected, g.edges
+            found = [
+                (b.plus, b.minus, b.edges, b.cyclomatic_number())
+                for b in enumerate_maximal_bipartite_subgraphs(g)
+            ]
+            assert found == expected, g.edges
+
+    def test_equality_and_hash_follow_the_masks(self, joined45):
+        first = enumerate_maximal_bipartite_subgraphs(joined45)
+        assert first[0].plus  # a built side takes no part in == or hash
+        rebuilt = Graph(joined45.vertex_count, joined45.edges)
+        second = enumerate_maximal_bipartite_subgraphs(rebuilt)
+        assert first == second
+        assert [hash(b) for b in first] == [hash(b) for b in second]
+        b = first[0]
+        assert MaxBipartiteSubgraph(b.plus_mask, b.cut ^ 1, joined45) != b
+        assert MaxBipartiteSubgraph(b.plus_mask ^ 4, b.cut, joined45) != b
+        assert len(set(first + second)) == len(first)
+
+    def test_memory_per_subgraph(self):
+        # K_14 has 2^13 - 1 subgraphs; built eagerly as two frozensets, an
+        # edge tuple and a record, each took about 2,000 B of traced peak
+        g = complete_graph(14)
+        tracemalloc.start()
+        try:
+            subs = enumerate_maximal_bipartite_subgraphs(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(subs) == (1 << 13) - 1
+        assert peak < 500 * len(subs)
 
     @pytest.mark.parametrize("build", [path_graph, cycle_graph], ids=["path", "cycle"])
     def test_2000_vertices_without_recursion_limit(self, build):
