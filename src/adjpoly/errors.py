@@ -35,11 +35,14 @@ class DomainError(AdjPolyError):
 
 def show(value: object) -> str:
     """repr(value), but an int of over 20 digits as `<D-digit int>`, signed,
-    and one that repr refuses (past 4,300 digits) as a stand-in; a tuple
-    shows each item this way."""
+    and one that repr refuses (past 4,300 digits) as a stand-in; a str of
+    over 40 characters as its first 40 and its length; a tuple shows each
+    item this way."""
     if type(value) is tuple:
         items = ", ".join(map(show, value))
         return f"({items},)" if len(value) == 1 else f"({items})"
+    if type(value) is str and len(value) > 40:
+        return f"{value[:40]!r}... ({len(value)} characters)"
     try:
         text = repr(value)
     except ValueError:

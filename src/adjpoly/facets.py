@@ -78,12 +78,14 @@ def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> tuple[tuple, ...]:
 
 
 def enumerate_sign_vectors(steps: tuple[tuple, ...]) -> list[tuple[int, ...]]:
-    """All d in {-1,+1}^n meeting every check, in binary order (-1 before +1).
+    """The normal of every d in {-1,+1}^n meeting every check, in binary
+    order of d (-1 before +1).
 
     Depth-first over the steps: d_k fixes the potential of step k's
     vertex, and its checks against earlier vertices are tested at once.
     So a branch is cut at the first edge it violates, and every leaf is a
-    solution.
+    solution, returned as its potentials of vertices 2..n+1: the facet
+    normal of that sign vector.
     More than ENUMERATION_MAX_FACETS solutions raise TooLarge.
     """
     n = len(steps)
@@ -93,13 +95,12 @@ def enumerate_sign_vectors(steps: tuple[tuple, ...]) -> list[tuple[int, ...]]:
             f"the search would try up to 2^{n} sign vectors"
         )
     pot = [0] * (n + 2)  # vertices 1..n+1, vertex 1 at 0
-    d = [0] * n
-    solutions: list[tuple[int, ...]] = []
+    normals: list[tuple[int, ...]] = []
 
     def extend(k: int) -> None:
         if k == n:
-            solutions.append(tuple(d))
-            if len(solutions) > ENUMERATION_MAX_FACETS:
+            normals.append(tuple(pot[2:]))
+            if len(normals) > ENUMERATION_MAX_FACETS:
                 raise TooLarge(
                     f"facet guard: more than {ENUMERATION_MAX_FACETS} sign vectors "
                     f"for n = {n} tree edges; the search would keep up to 2^{n} of them"
@@ -113,11 +114,10 @@ def enumerate_sign_vectors(steps: tuple[tuple, ...]) -> list[tuple[int, ...]]:
                     break
             else:
                 pot[vertex] = f
-                d[k] = value
                 extend(k + 1)
 
     extend(0)
-    return solutions
+    return normals
 
 
 def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
@@ -129,15 +129,12 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
     takes the total past ENUMERATION_MAX_FACETS raises TooLarge before its
     facets are built.
     """
-    # every step sets its vertex, so one potential list serves every facet
-    pot = [0] * (g.vertex_count + 1)
     seen_normals: dict[tuple[int, ...], int] = {}
     classes = []
     total = 0
     for index, b in enumerate(enumerate_maximal_bipartite_subgraphs(g)):
-        steps = build_cycle_system(g, b)
-        sign_vectors = enumerate_sign_vectors(steps)
-        total += len(sign_vectors)
+        normals = enumerate_sign_vectors(build_cycle_system(g, b))
+        total += len(normals)
         if total > ENUMERATION_MAX_FACETS:
             raise TooLarge(
                 f"facet guard: more than {ENUMERATION_MAX_FACETS} facets for "
@@ -145,10 +142,8 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
                 f"2^{g.n} in each of up to 2^{g.n} - 1 classes"
             )
         facets = []
-        for d in sign_vectors:
-            for (vertex, parent, sign, _), dk in zip(steps, d):
-                pot[vertex] = pot[parent] + sign * dk
-            facet = verify_facet(g, pot[2:])
+        for normal in normals:
+            facet = verify_facet(g, normal)
             if tuple([g.edges[i >> 1] for i in facet.point_indices]) != b.edges:
                 raise InternalInconsistency(
                     "facet subgraph does not match the generating bipartite subgraph"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import re
-from itertools import compress, count
+from itertools import compress
 from typing import Iterable
 
 from .errors import ParseError, TooLarge, ValidationError, show
@@ -136,9 +136,9 @@ def parse_edge_list(text: str | bytes) -> Graph:
             continue
         tokens = _TOKEN_GAP.split(line)
         if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise ParseError(f"line {lineno}: expected 'u v', got {show(line)}")
         if not (_LABEL.fullmatch(tokens[0]) and _LABEL.fullmatch(tokens[1])):
-            raise ParseError(f"line {lineno}: non-integer label in {line!r}")
+            raise ParseError(f"line {lineno}: non-integer label in {show(line)}")
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:  # past the interpreter's int string limit
@@ -166,21 +166,13 @@ class MaxBipartiteSubgraph:
     is), and bit k of cut when graph.edges[k] crosses between the sides.
     Maximality forces the crossing edges to be exactly the edges of graph
     between the sides, and to form a connected spanning subgraph.  The
-    sides plus and minus and the crossing edges, in graph order, are built
-    from the masks on first use; == and hash follow the masks alone.
+    crossing edges, in graph order, are built from cut on first use; ==
+    and hash follow the masks alone.
     """
 
     plus_mask: int
     cut: int
     graph: Graph = dataclasses.field(compare=False, repr=False)
-
-    @functools.cached_property
-    def plus(self) -> frozenset[int]:
-        return frozenset(compress(count(), _bits(self.plus_mask)))
-
-    @functools.cached_property
-    def minus(self) -> frozenset[int]:
-        return frozenset(self.graph.vertices()) - self.plus
 
     @functools.cached_property
     def edges(self) -> tuple[Edge, ...]:

@@ -108,6 +108,15 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges)
 
 
+def petersen_graph() -> Graph:
+    """The outer 5-cycle 1..5, the spokes v - v + 5, and the inner
+    pentagram on 6..10."""
+    outer = [(v, v % 5 + 1) for v in range(1, 6)]
+    spokes = [(v, v + 5) for v in range(1, 6)]
+    inner = [(v + 5, (v + 1) % 5 + 6) for v in range(1, 6)]
+    return Graph(10, outer + spokes + inner)
+
+
 def random_connected_graph(n: int, density: float, rng: random.Random) -> Graph:
     """A random spanning tree on shuffled labels plus each other pair with
     probability density."""
@@ -335,6 +344,13 @@ def component_count(edges) -> int:
     return components
 
 
+def sides(b: MaxBipartiteSubgraph) -> tuple[frozenset, frozenset]:
+    """Oracle: b's plus and minus sides, read bit by bit from plus_mask."""
+    vertices = range(1, b.graph.vertex_count + 1)
+    plus = frozenset(v for v in vertices if b.plus_mask >> v & 1)
+    return plus, frozenset(vertices) - plus
+
+
 def fundamental_cycle_rows(g: Graph, b: MaxBipartiteSubgraph):
     """Oracle: the BFS tree of b from vertex 1 (ascending neighbours) and
     the fundamental cycle of every other edge of g.
@@ -348,6 +364,7 @@ def fundamental_cycle_rows(g: Graph, b: MaxBipartiteSubgraph):
     for u, v in b.edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
+    _, minus = sides(b)
     oriented: list[tuple[int, int]] = []
     down = {1: [0] * g.n}  # signed tree path from vertex 1 to each vertex
     queue = deque([1])
@@ -356,7 +373,7 @@ def fundamental_cycle_rows(g: Graph, b: MaxBipartiteSubgraph):
         for w in sorted(adj[v]):
             if w in down:
                 continue
-            oriented.append((v, w) if v in b.minus else (w, v))
+            oriented.append((v, w) if v in minus else (w, v))
             down[w] = list(down[v])
             down[w][len(oriented) - 1] = 1 if oriented[-1] == (v, w) else -1
             queue.append(w)

@@ -396,8 +396,22 @@ class TestLongIntegersNotEchoed:
             ("1 2\n2 {big}\n2 {big}\n", "duplicate edge (2, <4300-digit int>)"),
             ("1 2\n{big} {big}\n", "line 2: self-loop at vertex <4300-digit int>"),
             ("1 2\n1 -{big}\n", "line 2: labels must be >= 1, got -<4300-digit int>"),
+            (
+                "1 2 {big}\n",
+                "line 1: expected 'u v', got '1 2 {nines}'... (4304 characters)",
+            ),
+            (
+                "1 x{big}\n",
+                "line 1: non-integer label in '1 x{nines}9'... (4303 characters)",
+            ),
         ],
-        ids=["duplicate_edge", "self_loop", "negative_label"],
+        ids=[
+            "duplicate_edge",
+            "self_loop",
+            "negative_label",
+            "three_tokens",
+            "non_integer",
+        ],
     )
     def test_edge_list_stderr_stays_short(self, tmp_path, text, message):
         path = tmp_path / "g.txt"
@@ -405,7 +419,8 @@ class TestLongIntegersNotEchoed:
         result = run(["count", str(path)])
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr == f"error: {message}\n"
+        # a line of over 40 characters is shown by its first 40
+        assert result.stderr == f"error: {message.format(nines='9' * 36)}\n"
         assert len(result.stderr.encode()) <= 200
 
 

@@ -17,6 +17,7 @@ from adjpoly import (
     enumerate_facet_classes,
     enumerate_maximal_bipartite_subgraphs,
     enumerate_sign_vectors,
+    facet_census,
     has_even_cycle,
     parse_edge_list,
     verify_facet,
@@ -33,10 +34,13 @@ from conftest import (
     fraction_rank,
     grid_graph,
     is_bipartite_edges,
+    joined_cycles_graph,
     n6_sample_graphs,
     path_graph,
+    petersen_graph,
     random_connected_graph,
     scan_sign_vectors,
+    sides,
     tight_edges,
     tight_points,
 )
@@ -59,6 +63,15 @@ def _subgraph_by_edges(g, edges):
     ]
     assert len(matches) == 1
     return matches[0]
+
+
+def _normal(steps, d):
+    """Oracle: the potentials of vertices 2..n+1 that d sets over the
+    steps, vertex 1 at 0."""
+    pot = {1: 0}
+    for (vertex, parent, sign, _), dk in zip(steps, d):
+        pot[vertex] = pot[parent] + sign * dk
+    return tuple(pot[v] for v in range(2, len(steps) + 2))
 
 
 def _replay_scan(steps):
@@ -110,9 +123,12 @@ class TestSignOrderEnds:
     def test_ends_of_every_class(self, joined45):
         for g in list(exhaustive_corpus(5)) + [joined45]:
             for cls in enumerate_facet_classes(g):
-                ds = enumerate_sign_vectors(build_cycle_system(g, cls.subgraph))
-                assert ds[0] == (-1,) * g.n and ds[-1] == (1,) * g.n
-                plus = cls.subgraph.plus
+                steps = build_cycle_system(g, cls.subgraph)
+                normals = enumerate_sign_vectors(steps)
+                assert normals[0] == _normal(steps, (-1,) * g.n)
+                assert normals[-1] == _normal(steps, (1,) * g.n)
+                assert normals == [f.normal for f in cls.facets]
+                plus, _ = sides(cls.subgraph)
                 first, last = cls.facets[0], cls.facets[-1]
                 into_minus = tight_edges(g, first)
                 into_plus = tight_edges(g, last)
@@ -177,9 +193,10 @@ class TestCycleSystem:
 
     def test_orientation_runs_minus_to_plus(self, joined45):
         for b in enumerate_maximal_bipartite_subgraphs(joined45):
+            plus, minus = sides(b)
             for step in build_cycle_system(joined45, b):
                 tail, head = _tree_edge(step)
-                assert tail in b.minus and head in b.plus
+                assert tail in minus and head in plus
 
     def test_tree_is_spanning_and_acyclic_in_bfs_order(self):
         for g in exhaustive_corpus(5):
@@ -230,12 +247,14 @@ class TestEnumerateSignVectors:
     def test_triangle_two_solutions(self):
         g = cycle_graph(3)
         b = _subgraph_by_edges(g, [(1, 2), (2, 3)])
-        assert enumerate_sign_vectors(build_cycle_system(g, b)) == [(-1, -1), (1, 1)]
+        steps = build_cycle_system(g, b)
+        normals = [_normal(steps, d) for d in [(-1, -1), (1, 1)]]
+        assert enumerate_sign_vectors(steps) == normals == [(1, 0), (-1, 0)]
 
     def test_hand_built_systems_exact(self):
         # checks that build_cycle_system never makes: gap 1 across an even
         # tree distance and gap 0 across an odd one cannot be met, so the
-        # search must return []; every leaf it returns must meet every check
+        # search must return []; every normal it returns must meet every check
         path = ((2, 1, -1, ()), (3, 2, 1, ()), (4, 3, -1, ()), (5, 4, 1, ()))
         # (step index, (earlier vertex, gap)): step k sets vertex k + 2
         odd_gap1, even_gap0 = (2, (1, 1)), (3, (3, 0))
@@ -255,26 +274,30 @@ class TestEnumerateSignVectors:
                 steps[k] = (vertex, parent, sign, step_checks + (check,))
             steps = tuple(steps)
             solutions = enumerate_sign_vectors(steps)
-            assert solutions == _replay_scan(steps)
+            assert solutions == [_normal(steps, d) for d in _replay_scan(steps)]
             impossible = even_gap1 in checks or odd_gap0 in checks
             assert (solutions == []) == impossible
 
     def test_binary_order(self):
-        # -1 before +1 at every depth: the vectors of a class come sorted
-        # with -1 < +1, and a tree class has all 2^n of them
+        # -1 before +1 at every depth: the normals of a class come in the
+        # order of their sign vectors sorted with -1 < +1, and a tree class
+        # has all 2^n of them
         for g in exhaustive_corpus(4):
             for b in enumerate_maximal_bipartite_subgraphs(g):
-                solutions = enumerate_sign_vectors(build_cycle_system(g, b))
-                assert solutions == sorted(solutions)
+                steps = build_cycle_system(g, b)
+                ds = _replay_scan(steps)  # in itertools.product order
+                assert enumerate_sign_vectors(steps) == [_normal(steps, d) for d in ds]
         g = path_graph(5)
         (b,) = enumerate_maximal_bipartite_subgraphs(g)
-        assert enumerate_sign_vectors(build_cycle_system(g, b)) == list(
-            itertools.product((-1, 1), repeat=4)
-        )
+        steps = build_cycle_system(g, b)
+        assert enumerate_sign_vectors(steps) == [
+            _normal(steps, d) for d in itertools.product((-1, 1), repeat=4)
+        ]
 
     def test_matches_fundamental_cycle_scan(self):
-        # same sign vectors in the same order as a scan of all 2^n vectors
-        # against the fundamental-cycle rows of the same BFS tree
+        # the normals of the same sign vectors, in the same order, as a scan
+        # of all 2^n vectors against the fundamental-cycle rows of the same
+        # BFS tree
         rng = random.Random(77)
         graphs = list(exhaustive_corpus(5)) + [
             random_connected_graph(rng.randint(6, 9), rng.uniform(0.15, 0.6), rng)
@@ -283,8 +306,9 @@ class TestEnumerateSignVectors:
         classes = 0
         for g in graphs:
             for b in enumerate_maximal_bipartite_subgraphs(g):
-                ds = enumerate_sign_vectors(build_cycle_system(g, b))
-                assert ds == scan_sign_vectors(g, b), (g.edges, b.edges)
+                steps = build_cycle_system(g, b)
+                normals = [_normal(steps, d) for d in scan_sign_vectors(g, b)]
+                assert enumerate_sign_vectors(steps) == normals, (g.edges, b.edges)
                 classes += 1
         assert classes > 9_000
 
@@ -340,8 +364,9 @@ class TestFacetFromSignVector:
         for g in (cycle_graph(4), joined45):
             for cls in enumerate_facet_classes(g):
                 steps = build_cycle_system(g, cls.subgraph)
-                ds = enumerate_sign_vectors(steps)
-                assert len(ds) == len(cls.facets)
+                ds = scan_sign_vectors(g, cls.subgraph)
+                normals = [_normal(steps, d) for d in ds]
+                assert normals == [f.normal for f in cls.facets]
                 for d, facet in zip(ds, cls.facets):
                     for dk, step in zip(d, steps):
                         oriented = _tree_edge(step)
@@ -405,6 +430,48 @@ class TestEnumerateAllFacets:
             bound = 1 << g.n
             assert all(len(c.facets) <= bound for c in classes)
             assert sum(len(c.facets) for c in classes) <= len(classes) * bound
+
+
+# past the brute-force oracle's guard (dim > 8)
+_RELABELED_GRAPHS = {
+    "joined33": joined_cycles_graph(3, 3),
+    "cycle12": cycle_graph(12),
+    "grid3x4": grid_graph(3, 4),
+    "petersen": petersen_graph(),
+    **{
+        f"random{n}": random_connected_graph(n, 0.2, random.Random(n))
+        for n in range(9, 13)
+    },
+}
+
+
+class TestRelabeling:
+    """A vertex permutation pi takes each facet normal p of G to the normal
+    p'(w) = p(pi^-1 w) - p(pi^-1 1) of pi(G), and each class to a class
+    of the same corank and size.  Every label-dependent path runs
+    differently on pi(G): the BFS from vertex 1, the bitmask order, the
+    step order and the cover's stamps."""
+
+    @pytest.mark.parametrize(
+        "g", list(_RELABELED_GRAPHS.values()), ids=list(_RELABELED_GRAPHS)
+    )
+    def test_normals_and_census_transport(self, g):
+        rng = random.Random(15)
+        vertices = range(1, g.vertex_count + 1)
+        potentials = [(0, 0) + f.normal for f in enumerate_all_facets(g)]
+        census = Counter(facet_census(g))
+        for _ in range(2):
+            labels = list(vertices)
+            rng.shuffle(labels)
+            pi = dict(zip(vertices, labels))
+            inverse = {w: v for v, w in pi.items()}
+            h = Graph(g.vertex_count, [(pi[u], pi[v]) for u, v in g.edges])
+            transported = {
+                tuple(p[inverse[w]] - p[inverse[1]] for w in vertices[1:])
+                for p in potentials
+            }
+            assert {f.normal for f in enumerate_all_facets(h)} == transported
+            assert Counter(facet_census(h)) == census
 
 
 def _star(n: int) -> Graph:

@@ -39,6 +39,7 @@ from conftest import (
     n6_sample_graphs,
     path_graph,
     random_edges,
+    sides,
     spanning_tree_count,
     tight_edges,
     tight_points,
@@ -319,7 +320,7 @@ class TestVerifyFacet:
                 for f in cls.facets:
                     assert verify_facet(g, f.normal) == f
                     edges = tight_edges(g, f)
-                    assert _even_vertices(f.normal) == b.plus
+                    assert _even_vertices(f.normal) == sides(b)[0]
                     assert tuple(g.edges[i >> 1] for i in f.point_indices) == b.edges
                     # connected and spanning, so dim N - 2
                     assert connected_spanning(edges, g.vertex_count)
