@@ -27,7 +27,6 @@ from .errors import AdjPolyError, InternalInconsistency, TooLarge, show
 from .graphs import (
     _LABEL,
     Graph,
-    _bits,
     enumerate_maximal_bipartite_subgraphs,
     has_even_cycle,
     parse_edge_list,
@@ -144,6 +143,15 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(data)
 
 
+# bytes.translate table taking the digits "0" and "1" to the bytes 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> bytes:
+    """Bit k of mask as byte k (0 or 1), lowest first: a compress selector."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+
+
 def _bipartition_lines(b, labels: list[str]) -> list[str]:
     # labels[v] is str(v); bit 0 of a side mask is never set
     everyone = (1 << len(labels)) - 2
@@ -156,7 +164,6 @@ def _cmd_facets(args) -> tuple[int, str]:
     g = _load_graph(args.file)
     classes = facets_mod.enumerate_facet_classes(g)
     total = sum(len(c.facets) for c in classes)
-    coranks = [cls.subgraph.cyclomatic_number() for cls in classes]
     if args.json:
         # every value is an int and every key fixed ASCII, so str(int) is its
         # JSON text and these f-strings give json.dumps(doc)'s bytes; points
@@ -164,8 +171,9 @@ def _cmd_facets(args) -> tuple[int, str]:
         points = [json.dumps(p) for p in geometry.points(g)]
         dim = g.n - 1
         class_texts = []
-        for index, (cls, corank) in enumerate(zip(classes, coranks)):
-            edges = json.dumps(cls.subgraph.edges)
+        for index, cls in enumerate(classes):
+            corank = cls.subgraph.corank
+            edges = json.dumps(list(compress(g.edges, _bits(cls.subgraph.cut))))
             tail = f'], "subgraph_edges": {edges}, "dim": {dim}, "corank": {corank}}}'
             facet_texts = [
                 f'{{"normal": [{", ".join(map(str, f.normal))}], "points": ['
@@ -184,9 +192,10 @@ def _cmd_facets(args) -> tuple[int, str]:
         )
     lines = [f"graph: N={g.vertex_count} m={g.m}"]
     labels = [str(v) for v in range(g.vertex_count + 1)]
-    for index, (cls, corank) in enumerate(zip(classes, coranks)):
-        lines.append(f"class {index}: corank={corank} size={len(cls.facets)}")
-        lines.extend(_bipartition_lines(cls.subgraph, labels))
+    for index, cls in enumerate(classes):
+        b = cls.subgraph
+        lines.append(f"class {index}: corank={b.corank} size={len(cls.facets)}")
+        lines.extend(_bipartition_lines(b, labels))
         for f in cls.facets:
             lines.append("  normal " + " ".join(str(c) for c in f.normal))
     lines.append(f"total {total}")
@@ -228,9 +237,7 @@ def _cmd_bipartite(args) -> tuple[int, str]:
     lines = [f"maximal bipartite subgraphs: {len(subs)}"]
     labels = [str(v) for v in range(g.vertex_count + 1)]
     for idx, b in enumerate(subs):
-        lines.append(
-            f"subgraph {idx}: edges={b.cut.bit_count()} corank={b.cyclomatic_number()}"
-        )
+        lines.append(f"subgraph {idx}: edges={b.cut.bit_count()} corank={b.corank}")
         lines.extend(_bipartition_lines(b, labels))
     return EXIT_OK, "\n".join(lines) + "\n"
 

@@ -59,6 +59,6 @@ def facet_census(g: Graph) -> tuple[tuple[int, int], ...]:
     beta * 2^(N-1).
     """
     return tuple(
-        (cls.subgraph.cyclomatic_number(), len(cls.facets))
+        (cls.subgraph.corank, len(cls.facets))
         for cls in enumerate_facet_classes(g)
     )

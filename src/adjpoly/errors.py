@@ -36,13 +36,19 @@ class DomainError(AdjPolyError):
 def show(value: object) -> str:
     """repr(value), but an int of over 20 digits as `<D-digit int>`, signed,
     and one that repr refuses (past 4,300 digits) as a stand-in; a str of
-    over 40 characters as its first 40 and its length; a tuple shows each
-    item this way."""
+    over 40 characters, or whose repr passes 48 bytes in UTF-8, as the
+    longest head of at most 40 characters whose repr fits in 48 bytes, and
+    its length; a tuple shows each item this way."""
     if type(value) is tuple:
         items = ", ".join(map(show, value))
         return f"({items},)" if len(value) == 1 else f"({items})"
-    if type(value) is str and len(value) > 40:
-        return f"{value[:40]!r}... ({len(value)} characters)"
+    if type(value) is str:
+        # an escaped or non-ASCII character takes up to 10 bytes of repr
+        head = value[:40]
+        while len(repr(head).encode()) > 48:
+            head = head[:-1]
+        if len(head) < len(value):
+            return f"{head!r}... ({len(value)} characters)"
     try:
         text = repr(value)
     except ValueError:

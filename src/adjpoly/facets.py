@@ -30,10 +30,10 @@ class FacetClass:
     """All facets sharing one facet subgraph, in sign-vector order.
 
     The class data is held here once, not per facet: each facet's tight
-    points orient subgraph.edges once each, in graph order, point index i
-    orienting g.edges[i >> 1]; its corank is subgraph.cyclomatic_number();
-    and the even potentials of its normal, vertex 1 at 0, are the set bits
-    of subgraph.plus_mask.
+    points orient the edges g.edges[k] for the set bits k of subgraph.cut
+    once each, in graph order, point index i orienting g.edges[i >> 1];
+    its corank is subgraph.corank; and the even potentials of its normal,
+    vertex 1 at 0, are the set bits of subgraph.plus_mask.
     """
 
     subgraph: MaxBipartiteSubgraph
@@ -141,10 +141,11 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
                 f"n = {g.n}, m = {g.m}; the enumeration would build up to "
                 f"2^{g.n} in each of up to 2^{g.n} - 1 classes"
             )
+        edge_ids = [k for k in range(g.m) if b.cut >> k & 1]
         facets = []
         for normal in normals:
             facet = verify_facet(g, normal)
-            if tuple([g.edges[i >> 1] for i in facet.point_indices]) != b.edges:
+            if [i >> 1 for i in facet.point_indices] != edge_ids:
                 raise InternalInconsistency(
                     "facet subgraph does not match the generating bipartite subgraph"
                 )

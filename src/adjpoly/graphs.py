@@ -8,11 +8,8 @@ shared freely across threads.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import re
-from itertools import compress
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError, TooLarge, ValidationError, show
 
@@ -110,9 +107,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(1, self.vertex_count + 1)
-
 
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse the plain-text edge-list format into a validated Graph.
@@ -158,29 +152,20 @@ def parse_edge_list(text: str | bytes) -> Graph:
     return Graph(max_label, edges)
 
 
-@dataclasses.dataclass(frozen=True)
-class MaxBipartiteSubgraph:
-    """A maximal bipartite subgraph of graph, held as two bitmasks.
+class MaxBipartiteSubgraph(NamedTuple):
+    """A maximal bipartite subgraph of a graph g: two bitmasks and its corank.
 
     Bit v of plus_mask is set when vertex v is on the plus side (vertex 1
-    is), and bit k of cut when graph.edges[k] crosses between the sides.
-    Maximality forces the crossing edges to be exactly the edges of graph
-    between the sides, and to form a connected spanning subgraph.  The
-    crossing edges, in graph order, are built from cut on first use; ==
-    and hash follow the masks alone.
+    is), and bit k of cut when g.edges[k] crosses between the sides.
+    Maximality forces the crossing edges to be exactly the edges of g
+    between the sides, and to form a connected spanning subgraph, so its
+    corank (cyclomatic number) is cut.bit_count() - (N - 1).  ==, hash
+    and order are the tuple's.
     """
 
     plus_mask: int
     cut: int
-    graph: Graph = dataclasses.field(compare=False, repr=False)
-
-    @functools.cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(compress(self.graph.edges, _bits(self.cut)))
-
-    def cyclomatic_number(self) -> int:
-        # connected and spanning, so mu = m - (N - 1)
-        return self.cut.bit_count() - self.graph.vertex_count + 1
+    corank: int
 
 
 def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph]:
@@ -240,7 +225,7 @@ def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph
         incident[u] ^= 1 << k
         incident[v] ^= 1 << k
 
-    found: list[tuple[int, int]] = []  # (plus bitmask, crossing bitmask)
+    found: list[MaxBipartiteSubgraph] = []
     # (step, plus, minus, crossing edges, open vertices of each component)
     stack = [(1, 0b10, 0, incident[1], [0b10])]
     while stack:
@@ -262,7 +247,8 @@ def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph
             child.append(merged)
             if i == last:
                 if len(child) == 1:
-                    found.append((child_plus, child_cut))
+                    corank = child_cut.bit_count() - last
+                    found.append(MaxBipartiteSubgraph(child_plus, child_cut, corank))
                     if len(found) > BIPARTITE_MAX_SUBGRAPHS:
                         raise TooLarge(
                             f"bipartite guard: more than {BIPARTITE_MAX_SUBGRAPHS} "
@@ -279,7 +265,7 @@ def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph
             stack.append((i + 1, child_plus, child_minus, child_cut, child))
 
     found.sort()
-    return [MaxBipartiteSubgraph(plus, cut, g) for plus, cut in found]
+    return found
 
 
 class _UnassignedCover:
@@ -287,7 +273,7 @@ class _UnassignedCover:
 
     Node 2u + s is vertex u on side s (0 plus, 1 minus), and an edge uw
     joins (u, s) with (w, 1 - s).  The vertices are added in reverse
-    search order to one union-find, without path compression, whose links
+    search order to one union-find that never shortens a path, whose links
     are stamped with the step that added them; the components after step
     i follow only the links stamped later than i.
     """
@@ -345,15 +331,6 @@ class _UnassignedCover:
         return all(k in seen for k in range(len(comps)))
 
 
-# bytes.translate table taking the digits "0" and "1" to the bytes 0 and 1
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bits(mask: int) -> bytes:
-    """Bit k of mask as byte k (0 or 1), lowest first: a compress selector."""
-    return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
-
-
 def _members(mask: int):
     """The vertices of a vertex bitmask."""
     while mask:
@@ -366,10 +343,8 @@ def has_even_cycle(g: Graph) -> bool:
     """True iff g contains a cycle of even length.
 
     An even cycle is bipartite, so it extends to some maximal bipartite
-    subgraph, which then has cyclomatic number >= 1 (a popcount of its cut
-    mask, so no side or edge set is built); conversely any cycle inside a
-    bipartite subgraph is even.
+    subgraph, which then has corank >= 1 (held on the subgraph, so no side
+    or edge set is built); conversely any cycle inside a bipartite
+    subgraph is even.
     """
-    return any(
-        b.cyclomatic_number() >= 1 for b in enumerate_maximal_bipartite_subgraphs(g)
-    )
+    return any(b.corank >= 1 for b in enumerate_maximal_bipartite_subgraphs(g))

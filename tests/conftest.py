@@ -185,7 +185,7 @@ def scan_maximal_bipartite_subgraphs(g: Graph) -> list[tuple]:
             continue
         if not connected_spanning(crossing, n_vert):
             continue
-        minus = frozenset(g.vertices()) - plus
+        minus = frozenset(range(1, n_vert + 1)) - plus
         corank = cyclomatic_number(crossing, g)
         results.append((frozenset(plus), minus, crossing, corank))
     return results
@@ -275,7 +275,7 @@ def all_cycles(g: Graph) -> list[tuple[int, ...]]:
                 on_path.remove(w)
                 path.pop()
 
-    for s in g.vertices():
+    for s in range(1, g.vertex_count + 1):
         extend([s], {s})
     return cycles
 
@@ -344,11 +344,16 @@ def component_count(edges) -> int:
     return components
 
 
-def sides(b: MaxBipartiteSubgraph) -> tuple[frozenset, frozenset]:
+def sides(g: Graph, b: MaxBipartiteSubgraph) -> tuple[frozenset, frozenset]:
     """Oracle: b's plus and minus sides, read bit by bit from plus_mask."""
-    vertices = range(1, b.graph.vertex_count + 1)
+    vertices = range(1, g.vertex_count + 1)
     plus = frozenset(v for v in vertices if b.plus_mask >> v & 1)
     return plus, frozenset(vertices) - plus
+
+
+def subgraph_edges(g: Graph, b: MaxBipartiteSubgraph) -> tuple:
+    """Oracle: b's edges, g.edges[k] for each set bit k of cut, in graph order."""
+    return tuple(e for k, e in enumerate(g.edges) if b.cut >> k & 1)
 
 
 def fundamental_cycle_rows(g: Graph, b: MaxBipartiteSubgraph):
@@ -361,10 +366,10 @@ def fundamental_cycle_rows(g: Graph, b: MaxBipartiteSubgraph):
     a walks tree edge k along or against its orientation.
     """
     adj: dict[int, list[int]] = {}
-    for u, v in b.edges:
+    for u, v in subgraph_edges(g, b):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    _, minus = sides(b)
+    _, minus = sides(g, b)
     oriented: list[tuple[int, int]] = []
     down = {1: [0] * g.n}  # signed tree path from vertex 1 to each vertex
     queue = deque([1])
@@ -391,7 +396,7 @@ def scan_sign_vectors(g: Graph, b: MaxBipartiteSubgraph) -> list[tuple[int, ...]
     each fundamental-cycle row sums to +-1 on d for an edge of b and to 0
     for an edge outside b.  A row is summed over its nonzero entries only."""
     _, rows = fundamental_cycle_rows(g, b)
-    b_edges = set(b.edges)
+    b_edges = set(subgraph_edges(g, b))
     wanted = [
         ([(k, c) for k, c in enumerate(row) if c], (-1, 1) if e in b_edges else (0,))
         for e, row in rows.items()

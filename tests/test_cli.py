@@ -100,7 +100,7 @@ def _facets_doc(g: graphs.Graph) -> dict:
     classes = enumerate_facet_classes(g)
     doc_classes = []
     for index, cls in enumerate(classes):
-        corank = cls.subgraph.cyclomatic_number()
+        corank = cls.subgraph.corank
         facet_docs = [
             {
                 "normal": list(f.normal),
@@ -375,6 +375,8 @@ class TestLongIntegersNotEchoed:
                 "(2, (-<21-digit int>, <int too long to print>))",
             ),
             ("9" * 30, repr("9" * 30)),
+            # 40 characters, but a repr of 162 bytes
+            ("\x01" * 40, repr("\x01" * 11) + "... (40 characters)"),
         ],
         ids=[
             "20_digits",
@@ -385,6 +387,7 @@ class TestLongIntegersNotEchoed:
             "tuple",
             "nested_tuple",
             "str",
+            "wide_str",
         ],
     )
     def test_show(self, value, text):
@@ -404,6 +407,22 @@ class TestLongIntegersNotEchoed:
                 "1 x{big}\n",
                 "line 1: non-integer label in '1 x{nines}9'... (4303 characters)",
             ),
+            # characters that take 4 to 10 bytes of repr each
+            (
+                "1 2" + "\U000e0001" * 4300 + "\n",
+                f"line 1: non-integer label in {'1 2' + chr(0xE0001) * 4!r}"
+                "... (4303 characters)",
+            ),
+            (
+                "1 2" + "\x01" * 4300 + "\n",
+                f"line 1: non-integer label in {'1 2' + chr(1) * 10!r}"
+                "... (4303 characters)",
+            ),
+            (
+                "1 x" + "\U0001f600" * 4300 + "\n",
+                f"line 1: non-integer label in {'1 x' + chr(0x1F600) * 10!r}"
+                "... (4303 characters)",
+            ),
         ],
         ids=[
             "duplicate_edge",
@@ -411,15 +430,19 @@ class TestLongIntegersNotEchoed:
             "negative_label",
             "three_tokens",
             "non_integer",
+            "tag_characters",
+            "control_characters",
+            "emoji",
         ],
     )
     def test_edge_list_stderr_stays_short(self, tmp_path, text, message):
         path = tmp_path / "g.txt"
-        path.write_text(text.format(big="9" * 4300))
+        path.write_text(text.format(big="9" * 4300), encoding="utf-8")
         result = run(["count", str(path)])
         assert result.exit_code == 1
         assert result.stdout == ""
-        # a line of over 40 characters is shown by its first 40
+        # a long line is shown by its first 40 characters, or fewer when
+        # their repr would pass 48 bytes
         assert result.stderr == f"error: {message.format(nines='9' * 36)}\n"
         assert len(result.stderr.encode()) <= 200
 

@@ -41,6 +41,7 @@ from conftest import (
     random_edges,
     sides,
     spanning_tree_count,
+    subgraph_edges,
     tight_edges,
     tight_points,
     two_color,
@@ -206,7 +207,7 @@ class TestVerifyFacet:
         # the lone edge connects both vertices: dim 2 - 2 = 0, corank 0
         (cls,) = enumerate_facet_classes(g)
         assert facet in cls.facets
-        assert cls.subgraph.cyclomatic_number() == 0
+        assert cls.subgraph.corank == 0
         assert connected_spanning(tight_edges(g, facet), 2)
 
     def test_c4_canonical_normal(self):
@@ -219,7 +220,7 @@ class TestVerifyFacet:
         # the tight 4-cycle connects all 4 vertices: dim 4 - 2 = 2, corank 1
         (cls,) = enumerate_facet_classes(g)
         assert facet in cls.facets
-        assert cls.subgraph.cyclomatic_number() == 1
+        assert cls.subgraph.corank == 1
         assert connected_spanning(tight_edges(g, facet), 4)
 
     def test_c4_min_set_too_small(self):
@@ -317,14 +318,15 @@ class TestVerifyFacet:
         for g in graphs:
             for cls in enumerate_facet_classes(g):
                 b = cls.subgraph
+                b_edges = subgraph_edges(g, b)
                 for f in cls.facets:
                     assert verify_facet(g, f.normal) == f
                     edges = tight_edges(g, f)
-                    assert _even_vertices(f.normal) == sides(b)[0]
-                    assert tuple(g.edges[i >> 1] for i in f.point_indices) == b.edges
+                    assert _even_vertices(f.normal) == sides(g, b)[0]
+                    assert tuple(g.edges[i >> 1] for i in f.point_indices) == b_edges
                     # connected and spanning, so dim N - 2
                     assert connected_spanning(edges, g.vertex_count)
-                    assert b.cyclomatic_number() == cyclomatic_number(edges, g)
+                    assert b.corank == cyclomatic_number(edges, g)
 
 
 class TestPrimitive:

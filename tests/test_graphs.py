@@ -31,6 +31,7 @@ from conftest import (
     random_connected_graph,
     scan_maximal_bipartite_subgraphs,
     sides,
+    subgraph_edges,
 )
 
 
@@ -236,11 +237,12 @@ class TestMaximalBipartiteSubgraphs:
         c4 = cycle_graph(4)
         subs = enumerate_maximal_bipartite_subgraphs(c4)
         assert len(subs) == 1
-        assert subs[0].edges == c4.edges
+        assert subgraph_edges(c4, subs[0]) == c4.edges
 
     def test_triangle_has_three_two_edge_paths(self):
-        subs = enumerate_maximal_bipartite_subgraphs(cycle_graph(3))
-        assert [set(b.edges) for b in subs] == [
+        c3 = cycle_graph(3)
+        subs = enumerate_maximal_bipartite_subgraphs(c3)
+        assert [set(subgraph_edges(c3, b)) for b in subs] == [
             {(1, 2), (1, 3)},
             {(1, 3), (2, 3)},
             {(1, 2), (2, 3)},
@@ -249,13 +251,13 @@ class TestMaximalBipartiteSubgraphs:
     def test_joined_cycles_has_seven(self, joined45):
         subs = enumerate_maximal_bipartite_subgraphs(joined45)
         assert len(subs) == 7
-        coranks = sorted(b.cyclomatic_number() for b in subs)
+        coranks = sorted(b.corank for b in subs)
         assert coranks == [0, 0, 0, 1, 1, 1, 1]
         # the four corank-1 subgraphs all contain the unique 4-cycle
         four_cycle = {(1, 2), (2, 3), (3, 4), (1, 4)}
         for b in subs:
-            if b.cyclomatic_number() == 1:
-                assert four_cycle <= set(b.edges)
+            if b.corank == 1:
+                assert four_cycle <= set(subgraph_edges(joined45, b))
 
     def test_deterministic_order(self, joined45):
         first = enumerate_maximal_bipartite_subgraphs(joined45)
@@ -264,7 +266,8 @@ class TestMaximalBipartiteSubgraphs:
 
     @pytest.mark.parametrize("g", exhaustive_corpus(4), ids=lambda g: str(g.edges))
     def test_matches_brute_force_small(self, g):
-        enumerated = {frozenset(b.edges) for b in enumerate_maximal_bipartite_subgraphs(g)}
+        subs = enumerate_maximal_bipartite_subgraphs(g)
+        enumerated = {frozenset(subgraph_edges(g, b)) for b in subs}
         assert enumerated == brute_force_max_bipartite(g)
 
     def test_matches_brute_force_n5_and_samples(self):
@@ -272,7 +275,8 @@ class TestMaximalBipartiteSubgraphs:
         graphs += list(n6_sample_graphs().values())
         for g in graphs:
             enumerated = {
-                frozenset(b.edges) for b in enumerate_maximal_bipartite_subgraphs(g)
+                frozenset(subgraph_edges(g, b))
+                for b in enumerate_maximal_bipartite_subgraphs(g)
             }
             assert enumerated == brute_force_max_bipartite(g), g.edges
 
@@ -281,26 +285,30 @@ class TestMaximalBipartiteSubgraphs:
         for g in SCAN_CORPORA[corpus]():
             expected = scan_maximal_bipartite_subgraphs(g)
             found = [
-                (*sides(b), b.edges, b.cyclomatic_number())
+                (*sides(g, b), subgraph_edges(g, b), b.corank)
                 for b in enumerate_maximal_bipartite_subgraphs(g)
             ]
             assert found == expected, g.edges
 
     def test_equality_and_hash_follow_the_masks(self, joined45):
+        assert MaxBipartiteSubgraph._fields == ("plus_mask", "cut", "corank")
         first = enumerate_maximal_bipartite_subgraphs(joined45)
-        assert first[0].edges  # a built edge tuple takes no part in == or hash
         rebuilt = Graph(joined45.vertex_count, joined45.edges)
         second = enumerate_maximal_bipartite_subgraphs(rebuilt)
         assert first == second
         assert [hash(b) for b in first] == [hash(b) for b in second]
-        b = first[0]
-        assert MaxBipartiteSubgraph(b.plus_mask, b.cut ^ 1, joined45) != b
-        assert MaxBipartiteSubgraph(b.plus_mask ^ 4, b.cut, joined45) != b
         assert len(set(first + second)) == len(first)
+        b = first[0]
+        assert MaxBipartiteSubgraph(b.plus_mask, b.cut ^ 1, b.corank) != b
+        assert MaxBipartiteSubgraph(b.plus_mask ^ 4, b.cut, b.corank) != b
+        for g in exhaustive_corpus(5):
+            for b in enumerate_maximal_bipartite_subgraphs(g):
+                assert b.corank == cyclomatic_number(subgraph_edges(g, b), g)
 
     def test_memory_per_subgraph(self):
-        # K_14 has 2^13 - 1 subgraphs; built eagerly as two frozensets, an
-        # edge tuple and a record, each took about 2,000 B of traced peak
+        # K_14 has 2^13 - 1 subgraphs; a tuple of three ints takes about
+        # 155 B of traced peak each, and a record that also held its graph
+        # took about 240 B
         g = complete_graph(14)
         tracemalloc.start()
         try:
@@ -309,7 +317,7 @@ class TestMaximalBipartiteSubgraphs:
         finally:
             tracemalloc.stop()
         assert len(subs) == (1 << 13) - 1
-        assert peak < 500 * len(subs)
+        assert peak < 200 * len(subs)
 
     @pytest.mark.parametrize("build", [path_graph, cycle_graph], ids=["path", "cycle"])
     def test_2000_vertices_without_recursion_limit(self, build):
@@ -317,7 +325,7 @@ class TestMaximalBipartiteSubgraphs:
         g = build(2000)
         subs = enumerate_maximal_bipartite_subgraphs(g)
         assert len(subs) == 1
-        assert subs[0].edges == g.edges
+        assert subgraph_edges(g, subs[0]) == g.edges
 
     def test_subgraph_bound(self, monkeypatch):
         # K_5 has 2^4 - 1 = 15 maximal bipartite subgraphs
@@ -332,7 +340,7 @@ class TestMaximalBipartiteSubgraphs:
 
     def test_maximality_by_perturbation(self, joined45):
         for b in enumerate_maximal_bipartite_subgraphs(joined45):
-            members = set(b.edges)
+            members = set(subgraph_edges(joined45, b))
             for extra in set(joined45.edges) - members:
                 # adding any non-member edge must create an odd cycle
                 assert not _is_bipartite(members | {extra})
@@ -343,9 +351,10 @@ class TestMaximalBipartiteSubgraphs:
 
     def test_crossing_subgraph_connected_and_spanning(self, joined45):
         for b in enumerate_maximal_bipartite_subgraphs(joined45):
-            touched = {v for e in b.edges for v in e}
-            assert touched == set(joined45.vertices())
-            assert cyclomatic_number(b.edges, joined45) == len(b.edges) - 7 + 1
+            edges = subgraph_edges(joined45, b)
+            touched = {v for e in edges for v in e}
+            assert touched == set(range(1, joined45.vertex_count + 1))
+            assert cyclomatic_number(edges, joined45) == len(edges) - 7 + 1
 
 
 def _is_bipartite(edges) -> bool:
@@ -360,7 +369,7 @@ class TestFundamentalCycle:
         b = [
             s
             for s in enumerate_maximal_bipartite_subgraphs(c3)
-            if set(s.edges) == {(1, 2), (2, 3)}
+            if set(subgraph_edges(c3, s)) == {(1, 2), (2, 3)}
         ][0]
         oriented, rows = fundamental_cycle_rows(c3, b)
         assert oriented == [(2, 1), (2, 3)]
@@ -386,7 +395,7 @@ class TestFundamentalCycle:
         b = [
             s
             for s in enumerate_maximal_bipartite_subgraphs(joined45)
-            if frozenset(s.edges) == target
+            if frozenset(subgraph_edges(joined45, s)) == target
         ][0]
         _, rows = fundamental_cycle_rows(joined45, b)
         assert sorted(rows) == [(1, 2), (1, 4)]

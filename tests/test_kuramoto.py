@@ -76,7 +76,7 @@ class TestFacetSubsystemSupport:
         (cls, *_) = [
             c
             for c in enumerate_facet_classes(joined45)
-            if c.subgraph.cyclomatic_number() == 1
+            if c.subgraph.corank == 1
         ]
         facet = cls.facets[0]
         # 7 facet points (one per subgraph edge) plus the origin
