@@ -14,13 +14,13 @@ exactly one document on stdout; diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 from collections import Counter
 from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 from . import counting, facets as facets_mod, geometry, kuramoto
 from .errors import AdjPolyError, InternalInconsistency, TooLarge, show
@@ -40,8 +40,7 @@ EXIT_GUARD = 2
 EXIT_INTERNAL = 3
 
 
-@dataclasses.dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     exit_code: int
     stdout: str
     stderr: str

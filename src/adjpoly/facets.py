@@ -14,7 +14,8 @@ every other edge of B and of 0 across every edge of G outside B.
 
 from __future__ import annotations
 
-import dataclasses
+from itertools import chain
+from typing import NamedTuple
 
 from .errors import InternalInconsistency, TooLarge
 from .geometry import Facet, verify_facet
@@ -25,9 +26,8 @@ SIGN_SEARCH_MAX_DIM = 30
 ENUMERATION_MAX_FACETS = 1 << 18
 
 
-@dataclasses.dataclass(frozen=True)
-class FacetClass:
-    """All facets sharing one facet subgraph, in sign-vector order.
+class FacetClass(NamedTuple):
+    """A named tuple of the facets sharing one subgraph, in sign-vector order.
 
     The class data is held here once, not per facet: each facet's tight
     points orient the edges g.edges[k] for the set bits k of subgraph.cut
@@ -124,13 +124,16 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
     """Facet classes grouped by maximal bipartite subgraph.
 
     Classes are ordered by the subgraph enumeration; facets inside a class
-    follow sign-vector order.  Distinctness within a class and disjointness
-    across classes hold by construction and are asserted.  A class that
-    takes the total past ENUMERATION_MAX_FACETS raises TooLarge before its
-    facets are built.
+    follow sign-vector order.  A class that takes the total past
+    ENUMERATION_MAX_FACETS raises TooLarge before its facets are built.
+    Two facts hold by construction and are asserted once per class: each
+    facet's cut.bit_count() tight points lie among the points 2k, 2k + 1
+    of the class's edges k (exact, as a point and its reverse are never
+    both at the certified minimum -1); and the normals verify_facet
+    returns are distinct within and across classes.
     """
-    seen_normals: dict[tuple[int, ...], int] = {}
-    classes = []
+    seen_normals: set[tuple[int, ...]] = set()
+    classes: list[FacetClass] = []
     total = 0
     for index, b in enumerate(enumerate_maximal_bipartite_subgraphs(g)):
         normals = enumerate_sign_vectors(build_cycle_system(g, b))
@@ -141,22 +144,25 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
                 f"n = {g.n}, m = {g.m}; the enumeration would build up to "
                 f"2^{g.n} in each of up to 2^{g.n} - 1 classes"
             )
-        edge_ids = [k for k in range(g.m) if b.cut >> k & 1]
-        facets = []
-        for normal in normals:
-            facet = verify_facet(g, normal)
-            if [i >> 1 for i in facet.point_indices] != edge_ids:
-                raise InternalInconsistency(
-                    "facet subgraph does not match the generating bipartite subgraph"
-                )
-            if facet.normal in seen_normals:
-                raise InternalInconsistency(
-                    f"facet normal {facet.normal} produced by classes "
-                    f"{seen_normals[facet.normal]} and {index}"
-                )
-            seen_normals[facet.normal] = index
-            facets.append(facet)
-        classes.append(FacetClass(subgraph=b, facets=tuple(facets)))
+        facets = tuple([verify_facet(g, normal) for normal in normals])
+        on_b = {i for i in range(2 * g.m) if b.cut >> (i >> 1) & 1}
+        tight = [f.point_indices for f in facets]
+        sizes = set(map(len, tight))
+        if sizes - {b.cut.bit_count()} or not on_b.issuperset(chain(*tight)):
+            raise InternalInconsistency(
+                "facet subgraph does not match the generating bipartite subgraph"
+            )
+        seen_normals.update([f.normal for f in facets])
+        if len(seen_normals) != total:  # name the first normal met before
+            first = {f.normal: k for k, c in enumerate(classes) for f in c.facets}
+            for f in facets:
+                if f.normal in first:
+                    raise InternalInconsistency(
+                        f"facet normal {f.normal} produced by classes "
+                        f"{first[f.normal]} and {index}"
+                    )
+                first[f.normal] = index
+        classes.append(FacetClass(b, facets))
     return classes
 
 

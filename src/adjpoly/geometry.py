@@ -10,9 +10,8 @@ made in exact integer arithmetic; no floating point is used anywhere.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import InternalInconsistency, NotAFacet, TooLarge, ZeroNormal, show
@@ -39,8 +38,7 @@ def points(g: Graph) -> tuple[Point, ...]:
     return tuple(edge_point(g.n, t, h) for t, h in g.directed_edges)
 
 
-@dataclasses.dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """A facet of the configuration: its normal and its tight points.
 
     normal is the primitive integer inner normal, read as the potentials
@@ -49,7 +47,8 @@ class Facet:
     reflexive (Matsui, Higashitani, Nagazawa, Ohsugi and Hibi, 2011), so
     every facet is {x : <x, a> = -1} for an integer a, and that a is
     primitive.  point_indices lists the tight points in configuration
-    order, as indices into g.directed_edges, the edges they encode.
+    order, as indices into g.directed_edges, the edges they encode.  A
+    named tuple: ==, hash and order are the tuple's, and _replace copies.
     """
 
     normal: tuple[int, ...]
@@ -97,7 +96,7 @@ def verify_facet(g: Graph, normal: Sequence[int]) -> Facet:
         raise InternalInconsistency(
             f"facet normal {coeffs} attains minimum {minimum}, not -1"
         )
-    return Facet(normal=coeffs, point_indices=tuple(min_indices))
+    return Facet(coeffs, tuple(min_indices))
 
 
 def _orientation_walk(tree: Sequence[Edge]) -> Iterator[tuple[int, list[int]]]:

@@ -309,34 +309,39 @@ class _UnassignedCover:
     def joins(self, i: int, comps: list[int], plus: int) -> bool:
         """Whether the components can meet through order[i+1:].
 
-        comps holds the open vertices of each component as a bitmask;
-        components are numbered from 0, double-cover nodes are negative.
+        comps holds the open vertices of each component as a bitmask.  Each
+        becomes the bitmask of the cover roots reached from its open
+        vertices, and the last absorbs those sharing a root with it until
+        none is left (they meet) or none shares one (they do not).
         """
-        links: dict[int, set[int]] = {k: set() for k in range(len(comps))}
-        for k, c in enumerate(comps):
-            for x in _members(c):
+        adjacency, position = self.adjacency, self.position
+        parent, stamp = self.parent, self.stamp
+        reach = []
+        for c in comps:
+            roots = 0
+            while c:
+                x = (c & -c).bit_length() - 1
+                c &= c - 1
                 side = plus >> x & 1  # side of x's crossing neighbours
-                for u in self.adjacency[x]:
-                    if self.position[u] > i:
-                        node = ~self.root(2 * u + side, i)
-                        links[k].add(node)
-                        links.setdefault(node, set()).add(k)
-        seen = {0}
-        todo = [0]
-        while todo:
-            for node in links[todo.pop()]:
-                if node not in seen:
-                    seen.add(node)
-                    todo.append(node)
-        return all(k in seen for k in range(len(comps)))
-
-
-def _members(mask: int):
-    """The vertices of a vertex bitmask."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+                for u in adjacency[x]:
+                    if position[u] > i:
+                        node = 2 * u + side
+                        while stamp[node] > i:
+                            node = parent[node]
+                        roots |= 1 << node
+            reach.append(roots)
+        joined = reach.pop()
+        while reach:
+            apart = []
+            for roots in reach:
+                if roots & joined:
+                    joined |= roots
+                else:
+                    apart.append(roots)
+            if len(apart) == len(reach):
+                return False
+            reach = apart
+        return True
 
 
 def has_even_cycle(g: Graph) -> bool:

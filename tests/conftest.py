@@ -356,6 +356,34 @@ def subgraph_edges(g: Graph, b: MaxBipartiteSubgraph) -> tuple:
     return tuple(e for k, e in enumerate(g.edges) if b.cut >> k & 1)
 
 
+def reference_joins(cover, i: int, comps: list[int], plus: int) -> bool:
+    """Oracle: the cover test of `graphs._UnassignedCover.joins`, by search.
+
+    Builds a graph on the components (numbered from 0) and the double-cover
+    roots of their open vertices' unassigned neighbours (negative numbers),
+    each component linked to every root it reaches, and tells whether one
+    breadth-first search from component 0 reaches every component.  Reads
+    only the cover's adjacency, position and root.
+    """
+    links: dict[int, set[int]] = {k: set() for k in range(len(comps))}
+    for k, c in enumerate(comps):
+        for x in (v for v in range(c.bit_length()) if c >> v & 1):
+            side = plus >> x & 1  # side of x's crossing neighbours
+            for u in cover.adjacency[x]:
+                if cover.position[u] > i:
+                    node = ~cover.root(2 * u + side, i)
+                    links[k].add(node)
+                    links.setdefault(node, set()).add(k)
+    seen = {0}
+    todo = [0]
+    while todo:
+        for node in links[todo.pop()]:
+            if node not in seen:
+                seen.add(node)
+                todo.append(node)
+    return all(k in seen for k in range(len(comps)))
+
+
 def fundamental_cycle_rows(g: Graph, b: MaxBipartiteSubgraph):
     """Oracle: the BFS tree of b from vertex 1 (ascending neighbours) and
     the fundamental cycle of every other edge of g.

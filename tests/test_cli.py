@@ -662,3 +662,22 @@ class TestParserReuse:
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(run, argvs * 3))
         assert results == [fresh[tuple(argv)] for argv in argvs * 3]
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_dataclasses_and_inspect(self):
+        # the test modules import dataclasses themselves, so a fresh
+        # interpreter tells what importing the command line loads
+        env = dict(os.environ, PYTHONPATH=str(Path(adjpoly.__file__).parents[1]))
+        code = (
+            "import sys, adjpoly.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env=env,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 from math import comb
 
@@ -9,7 +10,9 @@ import pytest
 
 from adjpoly import facets as facets_mod
 from adjpoly import (
+    Facet,
     Graph,
+    InternalInconsistency,
     TooLarge,
     brute_force_facets,
     build_cycle_system,
@@ -433,6 +436,82 @@ class TestEnumerateAllFacets:
             bound = 1 << g.n
             assert all(len(c.facets) <= bound for c in classes)
             assert sum(len(c.facets) for c in classes) <= len(classes) * bound
+
+
+def _tamper(monkeypatch, target, replace):
+    """Make facets.verify_facet return replace(facet) for the facet whose
+    normal is target, and every other facet unchanged."""
+    verify = facets_mod.verify_facet
+
+    def tampered(g, normal):
+        facet = verify(g, normal)
+        return replace(facet) if facet.normal == target else facet
+
+    monkeypatch.setattr(facets_mod, "verify_facet", tampered)
+
+
+class TestClassChecks:
+    """The two facts enumerate_facet_classes asserts, each made to fail.
+
+    C5 has five classes of six facets; each class's subgraph is a path
+    through four of the five edges.
+    """
+
+    SUBGRAPH = "facet subgraph does not match the generating bipartite subgraph"
+
+    @pytest.mark.parametrize("change", ["one_edge_fewer", "other_edge", "extra_edge"])
+    def test_facet_on_other_edges(self, monkeypatch, change):
+        g = cycle_graph(5)
+        cls = enumerate_facet_classes(g)[1]
+        facet = cls.facets[2]
+        (outside,) = [k for k in range(g.m) if not cls.subgraph.cut >> k & 1]
+        indices = facet.point_indices
+        indices = {
+            "one_edge_fewer": indices[:-1],
+            "other_edge": tuple(sorted(indices[1:] + (2 * outside,))),
+            "extra_edge": tuple(sorted(indices + (2 * outside + 1,))),
+        }[change]
+        _tamper(monkeypatch, facet.normal, lambda f: Facet(f.normal, indices))
+        with pytest.raises(InternalInconsistency, match=self.SUBGRAPH):
+            enumerate_facet_classes(g)
+
+    def test_orientation_flip_is_the_same_edge_set(self, monkeypatch):
+        # the check is on edges; which orientation is tight is verify_facet's
+        g = cycle_graph(5)
+        facet = enumerate_facet_classes(g)[3].facets[0]
+        flipped = tuple(sorted(i ^ 1 for i in facet.point_indices))
+        _tamper(monkeypatch, facet.normal, lambda f: Facet(f.normal, flipped))
+        assert len(enumerate_all_facets(g)) == 30
+
+    def test_one_normal_twice_in_a_class(self, monkeypatch):
+        g = cycle_graph(5)
+        search = facets_mod.enumerate_sign_vectors
+        calls = 0
+
+        def repeated(steps):
+            nonlocal calls
+            calls += 1
+            normals = search(steps)
+            return normals + normals[:1] if calls == 3 else normals
+
+        first = enumerate_facet_classes(g)[2].facets[0].normal
+        monkeypatch.setattr(facets_mod, "enumerate_sign_vectors", repeated)
+        message = f"facet normal {first} produced by classes 2 and 2"
+        with pytest.raises(InternalInconsistency, match=re.escape(message)):
+            enumerate_facet_classes(g)
+
+    def test_one_normal_in_two_classes(self, monkeypatch):
+        # the fourth class's second facet comes back with the normal of the
+        # first class's last facet, on its own class's points; the normal
+        # as verify_facet returns it is the key, not the search's tuple
+        g = cycle_graph(5)
+        classes = enumerate_facet_classes(g)
+        taken = classes[0].facets[-1].normal
+        target = classes[3].facets[1].normal
+        _tamper(monkeypatch, target, lambda f: Facet(taken, f.point_indices))
+        message = f"facet normal {taken} produced by classes 0 and 3"
+        with pytest.raises(InternalInconsistency, match=re.escape(message)):
+            enumerate_facet_classes(g)
 
 
 # past the brute-force oracle's guard (dim > 8)

@@ -1,6 +1,5 @@
 """Configuration points, facet verification, and the brute-force oracle."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -12,6 +11,7 @@ import pytest
 
 from adjpoly import (
     Facet,
+    FacetClass,
     Graph,
     InternalInconsistency,
     NotAFacet,
@@ -24,6 +24,7 @@ from adjpoly import (
     verify_facet,
 )
 from adjpoly import geometry, linalg
+from adjpoly.cli import CommandResult
 from adjpoly.geometry import edge_point, points
 from adjpoly.linalg import integer_rank, solve_neg_ones
 
@@ -278,8 +279,11 @@ class TestVerifyFacet:
             verify_facet(g, normal)
 
     def test_facet_holds_its_normal_and_point_indices(self):
-        fields = [f.name for f in dataclasses.fields(Facet)]
-        assert fields == ["normal", "point_indices"]
+        assert Facet._fields == ("normal", "point_indices")
+        assert FacetClass._fields == ("subgraph", "facets")
+        assert CommandResult._fields == ("exit_code", "stdout", "stderr")
+        facet = verify_facet(cycle_graph(3), (1, 0))
+        assert repr(facet) == "Facet(normal=(1, 0), point_indices=(0, 5))"
 
     def test_supporting_values_exact(self):
         # reflexivity: the primitive normal itself attains -1, no rescaling

@@ -26,9 +26,12 @@ from conftest import (
     cyclomatic_number,
     exhaustive_corpus,
     fundamental_cycle_rows,
+    joined_cycles_graph,
     n6_sample_graphs,
     path_graph,
+    petersen_graph,
     random_connected_graph,
+    reference_joins,
     scan_maximal_bipartite_subgraphs,
     sides,
     subgraph_edges,
@@ -355,6 +358,43 @@ class TestMaximalBipartiteSubgraphs:
             touched = {v for e in edges for v in e}
             assert touched == set(range(1, joined45.vertex_count + 1))
             assert cyclomatic_number(edges, joined45) == len(edges) - 7 + 1
+
+
+def _cover_corpus():
+    rng = random.Random(2029)
+    return (
+        list(exhaustive_corpus(5))
+        + list(n6_sample_graphs().values())
+        + [
+            random_connected_graph(n, density, rng)
+            for n in range(7, 13)
+            for density in (0.1, 0.2, 0.35, 0.5)
+            for _ in range(6)
+        ]
+        + [joined_cycles_graph(4, 4), petersen_graph(), cycle_graph(15)]
+    )
+
+
+class TestUnassignedCover:
+    def test_every_decision_matches_the_reference(self, monkeypatch):
+        # each cover test made while enumerating equals the search in
+        # conftest.reference_joins, on every labeled N <= 5 graph, the
+        # N = 6 sample and larger seeded and named graphs
+        joins = graphs._UnassignedCover.joins
+        decisions = []
+
+        def checked(cover, i, comps, plus):
+            expected = reference_joins(cover, i, list(comps), plus)
+            got = joins(cover, i, comps, plus)
+            assert got == expected, (i, comps, plus)
+            decisions.append(got)
+            return got
+
+        monkeypatch.setattr(graphs._UnassignedCover, "joins", checked)
+        for g in _cover_corpus():
+            enumerate_maximal_bipartite_subgraphs(g)
+        assert decisions.count(True) > 10000
+        assert decisions.count(False) > 1000
 
 
 def _is_bipartite(edges) -> bool:

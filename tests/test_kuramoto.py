@@ -1,6 +1,5 @@
 """Solver support exports: unmixed support, lifts, subsystems, homogenization."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -132,7 +131,7 @@ class TestHomogenization:
         # twice a facet normal attains -2 on that facet's points
         facets = enumerate_all_facets(joined45)
         doubled = tuple(2 * c for c in facets[index].normal)
-        facets[index] = dataclasses.replace(facets[index], normal=doubled)
+        facets[index] = facets[index]._replace(normal=doubled)
         monkeypatch.setattr(kuramoto, "enumerate_all_facets", lambda g: facets)
         with pytest.raises(InternalInconsistency, match="does not sit on any facet"):
             homogenization_data(joined45)
