@@ -77,7 +77,7 @@ def build_cycle_system(g: Graph, b: MaxBipartiteSubgraph) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-def enumerate_sign_vectors(steps: tuple[tuple, ...]) -> list[tuple[int, ...]]:
+def enumerate_sign_vectors(steps: tuple, found: int = 0) -> list[tuple[int, ...]]:
     """The normal of every d in {-1,+1}^n meeting every check, in binary
     order of d (-1 before +1).
 
@@ -86,7 +86,8 @@ def enumerate_sign_vectors(steps: tuple[tuple, ...]) -> list[tuple[int, ...]]:
     So a branch is cut at the first edge it violates, and every leaf is a
     solution, returned as its potentials of vertices 2..n+1: the facet
     normal of that sign vector.
-    More than ENUMERATION_MAX_FACETS solutions raise TooLarge.
+    found counts the facets of earlier classes; the leaf that takes found
+    plus this search's solutions past ENUMERATION_MAX_FACETS raises TooLarge.
     """
     n = len(steps)
     if n > SIGN_SEARCH_MAX_DIM:
@@ -96,14 +97,16 @@ def enumerate_sign_vectors(steps: tuple[tuple, ...]) -> list[tuple[int, ...]]:
         )
     pot = [0] * (n + 2)  # vertices 1..n+1, vertex 1 at 0
     normals: list[tuple[int, ...]] = []
+    limit = ENUMERATION_MAX_FACETS - found
 
     def extend(k: int) -> None:
         if k == n:
             normals.append(tuple(pot[2:]))
-            if len(normals) > ENUMERATION_MAX_FACETS:
+            if len(normals) > limit:
                 raise TooLarge(
-                    f"facet guard: more than {ENUMERATION_MAX_FACETS} sign vectors "
-                    f"for n = {n} tree edges; the search would keep up to 2^{n} of them"
+                    f"facet guard: more than {ENUMERATION_MAX_FACETS} facets, "
+                    f"{found} before this class, whose search over n = {n} "
+                    f"tree edges would keep up to 2^{n}"
                 )
             return
         vertex, parent, sign, checks = steps[k]
@@ -124,8 +127,8 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
     """Facet classes grouped by maximal bipartite subgraph.
 
     Classes are ordered by the subgraph enumeration; facets inside a class
-    follow sign-vector order.  A class that takes the total past
-    ENUMERATION_MAX_FACETS raises TooLarge before its facets are built.
+    follow sign-vector order.  The sign search of the class that takes the
+    total past ENUMERATION_MAX_FACETS raises TooLarge, before that class is built.
     Two facts hold by construction and are asserted once per class: each
     facet's cut.bit_count() tight points lie among the points 2k, 2k + 1
     of the class's edges k (exact, as a point and its reverse are never
@@ -134,16 +137,9 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
     """
     seen_normals: set[tuple[int, ...]] = set()
     classes: list[FacetClass] = []
-    total = 0
     for index, b in enumerate(enumerate_maximal_bipartite_subgraphs(g)):
-        normals = enumerate_sign_vectors(build_cycle_system(g, b))
-        total += len(normals)
-        if total > ENUMERATION_MAX_FACETS:
-            raise TooLarge(
-                f"facet guard: more than {ENUMERATION_MAX_FACETS} facets for "
-                f"n = {g.n}, m = {g.m}; the enumeration would build up to "
-                f"2^{g.n} in each of up to 2^{g.n} - 1 classes"
-            )
+        found = len(seen_normals)  # a repeated normal raises below
+        normals = enumerate_sign_vectors(build_cycle_system(g, b), found)
         facets = tuple([verify_facet(g, normal) for normal in normals])
         on_b = {i for i in range(2 * g.m) if b.cut >> (i >> 1) & 1}
         tight = [f.point_indices for f in facets]
@@ -153,7 +149,7 @@ def enumerate_facet_classes(g: Graph) -> list[FacetClass]:
                 "facet subgraph does not match the generating bipartite subgraph"
             )
         seen_normals.update([f.normal for f in facets])
-        if len(seen_normals) != total:  # name the first normal met before
+        if len(seen_normals) != found + len(facets):  # name the first normal met before
             first = {f.normal: k for k, c in enumerate(classes) for f in c.facets}
             for f in facets:
                 if f.normal in first:

@@ -356,22 +356,52 @@ def subgraph_edges(g: Graph, b: MaxBipartiteSubgraph) -> tuple:
     return tuple(e for k, e in enumerate(g.edges) if b.cut >> k & 1)
 
 
-def reference_joins(cover, i: int, comps: list[int], plus: int) -> bool:
+@functools.lru_cache(maxsize=64)
+def _double_cover_components(g: Graph, i: int) -> dict[int, int]:
+    """Oracle: the components of the double cover of G[order[i+1:]].
+
+    Node 2u + s is vertex u on side s (0 plus, 1 minus), and an edge uw of
+    the unassigned subgraph joins (u, s) with (w, 1 - s).  Maps each node
+    to the smallest node of its component, found by breadth-first search
+    over g's adjacency and BFS order alone.
+    """
+    unassigned = set(g.bfs_order[i + 1 :])
+    label: dict[int, int] = {}
+    for start in sorted(2 * u + s for u in unassigned for s in (0, 1)):
+        if start in label:
+            continue
+        label[start] = start
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            u, s = divmod(node, 2)
+            for w in g.adjacency[u]:
+                other = 2 * w + 1 - s
+                if w in unassigned and other not in label:
+                    label[other] = start
+                    queue.append(other)
+    return label
+
+
+def reference_joins(g: Graph, i: int, comps: list[int], plus: int) -> bool:
     """Oracle: the cover test of `graphs._UnassignedCover.joins`, by search.
 
     Builds a graph on the components (numbered from 0) and the double-cover
-    roots of their open vertices' unassigned neighbours (negative numbers),
-    each component linked to every root it reaches, and tells whether one
-    breadth-first search from component 0 reaches every component.  Reads
-    only the cover's adjacency, position and root.
+    components of their open vertices' unassigned neighbours (negative
+    numbers), each component linked to every cover component it reaches,
+    and tells whether one breadth-first search from component 0 reaches
+    every component.  The cover components come from
+    _double_cover_components, so nothing of the union-find is read.
     """
+    position = {v: k for k, v in enumerate(g.bfs_order)}
+    cover = _double_cover_components(g, i)
     links: dict[int, set[int]] = {k: set() for k in range(len(comps))}
     for k, c in enumerate(comps):
         for x in (v for v in range(c.bit_length()) if c >> v & 1):
             side = plus >> x & 1  # side of x's crossing neighbours
-            for u in cover.adjacency[x]:
-                if cover.position[u] > i:
-                    node = ~cover.root(2 * u + side, i)
+            for u in g.adjacency[x]:
+                if position[u] > i:
+                    node = ~cover[2 * u + side]
                     links[k].add(node)
                     links.setdefault(node, set()).add(k)
     seen = {0}

@@ -259,7 +259,10 @@ class TestPath31:
     def test_enumeration_trips_facet_guard(self, path31_file, command):
         result = _adjpoly(command, path31_file)
         assert result.returncode == 2
-        assert "facet guard: more than 262144 sign vectors for n = 30" in result.stderr
+        assert result.stderr == (
+            "guard exceeded: facet guard: more than 262144 facets, 0 before this "
+            "class, whose search over n = 30 tree edges would keep up to 2^30\n"
+        )
 
 
 class TestJoinedCycles:

@@ -336,10 +336,26 @@ class TestEnumerateSignVectors:
         monkeypatch.setattr(facets_mod, "ENUMERATION_MAX_FACETS", 32)
         assert len(enumerate_sign_vectors(steps)) == 32
         monkeypatch.setattr(facets_mod, "ENUMERATION_MAX_FACETS", 31)
-        with pytest.raises(
-            TooLarge, match=r"more than 31 sign vectors for n = 5 .* up to 2\^5 of"
-        ):
+        message = (
+            "facet guard: more than 31 facets, 0 before this class, "
+            "whose search over n = 5 tree edges would keep up to 2^5"
+        )
+        with pytest.raises(TooLarge, match=re.escape(message)):
             enumerate_sign_vectors(steps)
+
+    def test_facet_bound_counts_earlier_facets(self, monkeypatch):
+        # one 6-facet class of C5 under a bound of 20: it fits after 14
+        # earlier facets and not after 15
+        g = cycle_graph(5)
+        steps = build_cycle_system(g, enumerate_maximal_bipartite_subgraphs(g)[0])
+        monkeypatch.setattr(facets_mod, "ENUMERATION_MAX_FACETS", 20)
+        assert len(enumerate_sign_vectors(steps, found=14)) == 6
+        message = (
+            "facet guard: more than 20 facets, 15 before this class, "
+            "whose search over n = 4 tree edges would keep up to 2^4"
+        )
+        with pytest.raises(TooLarge, match=re.escape(message)):
+            enumerate_sign_vectors(steps, found=15)
 
 
 class TestFacetFromSignVector:
@@ -412,7 +428,8 @@ class TestEnumerateAllFacets:
 
     def test_facet_bound_before_building(self, monkeypatch):
         # C5: five classes of 6 facets each; the fourth takes the total
-        # past 20, so only the first three are certified
+        # past 20, so its sign search raises after the first three classes'
+        # 18 facets are certified
         g = cycle_graph(5)
         monkeypatch.setattr(facets_mod, "ENUMERATION_MAX_FACETS", 30)
         assert len(enumerate_all_facets(g)) == 30
@@ -426,7 +443,11 @@ class TestEnumerateAllFacets:
 
         monkeypatch.setattr(facets_mod, "verify_facet", counted)
         monkeypatch.setattr(facets_mod, "ENUMERATION_MAX_FACETS", 20)
-        with pytest.raises(TooLarge, match=r"more than 20 facets for n = 4, m = 5"):
+        message = (
+            "facet guard: more than 20 facets, 18 before this class, "
+            "whose search over n = 4 tree edges would keep up to 2^4"
+        )
+        with pytest.raises(TooLarge, match=re.escape(message)):
             enumerate_facet_classes(g)
         assert verified == 18
 
@@ -488,10 +509,10 @@ class TestClassChecks:
         search = facets_mod.enumerate_sign_vectors
         calls = 0
 
-        def repeated(steps):
+        def repeated(steps, found):
             nonlocal calls
             calls += 1
-            normals = search(steps)
+            normals = search(steps, found)
             return normals + normals[:1] if calls == 3 else normals
 
         first = enumerate_facet_classes(g)[2].facets[0].normal

@@ -26,6 +26,7 @@ from conftest import (
     cyclomatic_number,
     exhaustive_corpus,
     fundamental_cycle_rows,
+    grid_graph,
     joined_cycles_graph,
     n6_sample_graphs,
     path_graph,
@@ -384,9 +385,9 @@ class TestUnassignedCover:
         decisions = []
 
         def checked(cover, i, comps, plus):
-            expected = reference_joins(cover, i, list(comps), plus)
+            expected = reference_joins(g, i, list(comps), plus)
             got = joins(cover, i, comps, plus)
-            assert got == expected, (i, comps, plus)
+            assert got == expected, (g.edges, i, comps, plus)
             decisions.append(got)
             return got
 
@@ -395,6 +396,32 @@ class TestUnassignedCover:
             enumerate_maximal_bipartite_subgraphs(g)
         assert decisions.count(True) > 10000
         assert decisions.count(False) > 1000
+
+    @pytest.mark.parametrize(
+        "g, calls, cuts",
+        [
+            pytest.param(cycle_graph(15), 91, 0, id="C15"),
+            pytest.param(path_graph(15), 0, 0, id="P15"),
+            pytest.param(grid_graph(4, 5), 18, 18, id="grid4x5"),
+            pytest.param(joined_cycles_graph(6, 6), 345, 114, id="J66"),
+            pytest.param(complete_graph(13), 11, 0, id="K13"),
+            pytest.param(petersen_graph(), 204, 17, id="Petersen"),
+        ],
+    )
+    def test_work(self, monkeypatch, g, calls, cuts):
+        # the number of cover tests the search makes, and of branches they
+        # cut, pinned exactly: a search that closes vertices later or cuts
+        # closed components later still finds every subgraph, only slower
+        joins = graphs._UnassignedCover.joins
+        decisions = []
+
+        def counted(cover, i, comps, plus):
+            decisions.append(joins(cover, i, comps, plus))
+            return decisions[-1]
+
+        monkeypatch.setattr(graphs._UnassignedCover, "joins", counted)
+        enumerate_maximal_bipartite_subgraphs(g)
+        assert (len(decisions), decisions.count(False)) == (calls, cuts)
 
 
 def _is_bipartite(edges) -> bool:
