@@ -248,7 +248,9 @@ def _cmd_oracle_check(args) -> tuple[int, str]:
     fast = {f.normal for f in facets_mod.enumerate_all_facets(g)}
     if fast == oracle:
         return EXIT_OK, f"{len(fast)} == {len(oracle)}\n"
-    return EXIT_INTERNAL, f"{len(fast)} != {len(oracle)}\n"
+    normal = min(fast ^ oracle)
+    where = "enumeration" if normal in fast else "oracle"
+    return EXIT_INTERNAL, f"{len(fast)} != {len(oracle)}: {normal} only in the {where}\n"
 
 
 def _cmd_simplicial(args) -> tuple[int, str]:

@@ -226,17 +226,17 @@ def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph
         incident[v] ^= 1 << k
 
     found: list[MaxBipartiteSubgraph] = []
-    # (step, plus, minus, crossing edges, open vertices of each component)
-    stack = [(1, 0b10, 0, incident[1], [0b10])]
+    # (step, plus, crossing edges, open vertices of each component)
+    stack = [(1, 0b10, incident[1], [0b10])]
     while stack:
-        i, plus, minus, cut, comps = stack.pop()
+        i, plus, cut, comps = stack.pop()
         v = order[i]
         bit = 1 << v
-        for child_plus, child_minus, child_cut, across in (
-            (plus | bit, minus, cut ^ incident[v], minus),
-            (plus, minus | bit, cut, plus),
+        # earlier[v] holds assigned vertices only, so & ~plus is its minus side
+        for child_plus, child_cut, touching in (
+            (plus | bit, cut ^ incident[v], earlier[v] & ~plus),
+            (plus, cut, earlier[v] & plus),
         ):
-            touching = earlier[v] & across
             merged = bit
             child = []
             for c in comps:
@@ -262,7 +262,7 @@ def enumerate_maximal_bipartite_subgraphs(g: Graph) -> list[MaxBipartiteSubgraph
                 continue  # a component closed before the last vertex
             if len(child) > 1 and not cover.joins(i, child, child_plus):
                 continue
-            stack.append((i + 1, child_plus, child_minus, child_cut, child))
+            stack.append((i + 1, child_plus, child_cut, child))
 
     found.sort()
     return found

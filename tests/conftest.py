@@ -133,27 +133,40 @@ def random_connected_graph(n: int, density: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def is_bipartite_edges(edges) -> bool:
-    """2-colorability of an edge set, one component at a time."""
+def edge_components(edges) -> list[dict[int, int]]:
+    """Oracle: the components of the subgraph the edges span, by BFS.
+
+    Each component maps its vertices to their BFS depth mod 2 from its
+    smallest vertex.  Loops, repeated and reversed edges and any int
+    labels are allowed; a loop (u, u) makes u a vertex.
+    """
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    color: dict[int, int] = {}
-    for start in adj:
-        if start in color:
+    components = []
+    seen: set[int] = set()
+    for start in sorted(adj):
+        if start in seen:
             continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
+        parity = {start: 0}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
             for w in adj[x]:
-                if w not in color:
-                    color[w] = 1 - color[x]
-                    stack.append(w)
-                elif color[w] == color[x]:
-                    return False
-    return True
+                if w not in parity:
+                    parity[w] = 1 - parity[x]
+                    queue.append(w)
+        seen.update(parity)
+        components.append(parity)
+    return components
+
+
+def is_bipartite_edges(edges) -> bool:
+    """2-colorability of an edge set: no edge joins two vertices whose
+    BFS depths have the same parity."""
+    parity = {v: p for c in edge_components(edges) for v, p in c.items()}
+    return all(parity[u] != parity[v] for u, v in edges)
 
 
 def brute_force_max_bipartite(g: Graph) -> set[frozenset]:
@@ -193,22 +206,8 @@ def scan_maximal_bipartite_subgraphs(g: Graph) -> list[tuple]:
 
 def connected_spanning(edges, vertex_count: int) -> bool:
     """Oracle: the edges touch all vertex_count vertices and connect them."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if len(adj) != vertex_count:
-        return False
-    start = next(iter(adj))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == vertex_count
+    components = edge_components(edges)
+    return len(components) == 1 and len(components[0]) == vertex_count
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -322,26 +321,8 @@ def cyclomatic_number(edge_subset, g: Graph) -> int:
 
 
 def component_count(edges) -> int:
-    """Oracle: connected components of the subgraph the edges span, by BFS."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    components = 0
-    seen: set[int] = set()
-    for start in adj:
-        if start in seen:
-            continue
-        components += 1
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return components
+    """Oracle: connected components of the subgraph the edges span."""
+    return len(edge_components(edges))
 
 
 def sides(g: Graph, b: MaxBipartiteSubgraph) -> tuple[frozenset, frozenset]:
@@ -467,28 +448,16 @@ def scan_sign_vectors(g: Graph, b: MaxBipartiteSubgraph) -> list[tuple[int, ...]
 
 
 def two_color(edges, vertex_count: int) -> tuple[frozenset, frozenset]:
-    """Oracle: 2-color a connected spanning edge set by BFS from vertex 1,
-    which goes on the plus side; returns the sides (plus, minus)."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    color = {1: 1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w in adj.get(v, ()):
-            if w not in color:
-                color[w] = -color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
-                raise ValueError("edge set is not bipartite")
-    if len(color) != vertex_count:
+    """Oracle: 2-color a connected spanning edge set by the BFS depth
+    parity of its vertices, with vertex 1 on the plus side; returns the
+    sides (plus, minus)."""
+    parity = next((c for c in edge_components(edges) if 1 in c), {1: 0})
+    if any(u in parity and parity[u] == parity[v] for u, v in edges):
+        raise ValueError("edge set is not bipartite")
+    if len(parity) != vertex_count:
         raise ValueError("edge set is not spanning and connected")
-    return (
-        frozenset(v for v, c in color.items() if c == 1),
-        frozenset(v for v, c in color.items() if c == -1),
-    )
+    plus = frozenset(v for v, p in parity.items() if p == parity[1])
+    return plus, frozenset(parity) - plus
 
 
 def _row_reduce(matrix: list[list[Fraction]], cols: int) -> int:

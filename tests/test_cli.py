@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import adjpoly
-from adjpoly import cli, geometry, graphs
+from adjpoly import cli, facets, geometry, graphs
 from adjpoly.errors import show
 from adjpoly.cli import run
 from adjpoly.facets import enumerate_facet_classes
@@ -219,6 +219,28 @@ class TestOracleCheck:
             in result.stderr
         )
 
+    @pytest.mark.parametrize(
+        "tamper, stdout",
+        [
+            pytest.param(
+                lambda fs: fs[1:], "5 != 6: (1, 0, 1) only in the oracle\n", id="drop"
+            ),
+            pytest.param(
+                lambda fs: [fs[0]._replace(normal=(-9, -9, -9))] + fs[1:],
+                "6 != 6: (-9, -9, -9) only in the enumeration\n",
+                id="replace",
+            ),
+        ],
+    )
+    def test_mismatch_names_a_normal(self, c4_file, monkeypatch, tamper, stdout):
+        # the smallest normal that one side found and the other did not,
+        # so equal counts still show what differs
+        enumerate_all_facets = facets.enumerate_all_facets
+        monkeypatch.setattr(
+            facets, "enumerate_all_facets", lambda g: tamper(enumerate_all_facets(g))
+        )
+        result = run(["oracle-check", c4_file])
+        assert (result.exit_code, result.stdout, result.stderr) == (3, stdout, "")
 
     def test_oracle_fault_exits_3(self, c4_file, monkeypatch):
         # (0, 0, 1) passes every chord test on C4, but its tight points

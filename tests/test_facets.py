@@ -33,6 +33,7 @@ from conftest import (
     connected_spanning,
     cycle_graph,
     cyclomatic_number,
+    edge_components,
     exhaustive_corpus,
     fraction_rank,
     grid_graph,
@@ -740,38 +741,11 @@ class TestFaceSubgraphs:
                 for idx in common:
                     i, j = g.directed_edges[idx]
                     edges.add((i, j) if i < j else (j, i))
-                for comp_edges, comp_vertices in _components(edges):
-                    induced = [
-                        e
-                        for e in g.edges
-                        if e[0] in comp_vertices and e[1] in comp_vertices
-                    ]
+                for comp in edge_components(edges):
+                    comp_edges = {e for e in edges if e[0] in comp}
+                    induced = [e for e in g.edges if e[0] in comp and e[1] in comp]
                     for extra in set(induced) - comp_edges:
                         assert not is_bipartite_edges(comp_edges | {extra})
-
-
-def _components(edges):
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = set()
-    out = []
-    for start in adj:
-        if start in seen:
-            continue
-        stack, verts = [start], {start}
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    verts.add(w)
-                    stack.append(w)
-        comp_edges = {e for e in edges if e[0] in verts}
-        out.append((comp_edges, verts))
-    return out
 
 
 class TestBalancing:

@@ -136,6 +136,23 @@ class TestIntegerRank:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_join_moves_the_smaller_component(self):
+        # a path on 1..40, then 40 two-vertex components, each joined to
+        # vertex 1: moving the smaller list into the larger hashes each
+        # label a few times (438 in all), the larger into the smaller 3,518
+        class Label(int):
+            calls = 0
+
+            def __hash__(self):
+                Label.calls += 1
+                return int.__hash__(self)
+
+        edges = [(Label(v), Label(v + 1)) for v in range(1, 40)]
+        for a in range(41, 121, 2):
+            edges += [(Label(a), Label(a + 1)), (Label(1), Label(a))]
+        assert integer_rank(edges) == len(edges) == 119
+        assert Label.calls <= 5 * len(edges)
+
     def test_matches_component_oracle_in_every_merge_order(self):
         # rank = vertices touched - components: every sequence of up to 3
         # directed edges on 0..4 (loops, repeats and reversals included),

@@ -27,6 +27,7 @@ from conftest import (
     exhaustive_corpus,
     fundamental_cycle_rows,
     grid_graph,
+    is_bipartite_edges,
     joined_cycles_graph,
     n6_sample_graphs,
     path_graph,
@@ -347,11 +348,11 @@ class TestMaximalBipartiteSubgraphs:
             members = set(subgraph_edges(joined45, b))
             for extra in set(joined45.edges) - members:
                 # adding any non-member edge must create an odd cycle
-                assert not _is_bipartite(members | {extra})
+                assert not is_bipartite_edges(members | {extra})
             for gone in members:
                 smaller = members - {gone}
                 if smaller:
-                    assert _is_bipartite(smaller)
+                    assert is_bipartite_edges(smaller)
 
     def test_crossing_subgraph_connected_and_spanning(self, joined45):
         for b in enumerate_maximal_bipartite_subgraphs(joined45):
@@ -422,12 +423,6 @@ class TestUnassignedCover:
         monkeypatch.setattr(graphs._UnassignedCover, "joins", counted)
         enumerate_maximal_bipartite_subgraphs(g)
         assert (len(decisions), decisions.count(False)) == (calls, cuts)
-
-
-def _is_bipartite(edges) -> bool:
-    from conftest import is_bipartite_edges
-
-    return is_bipartite_edges(edges)
 
 
 class TestFundamentalCycle:

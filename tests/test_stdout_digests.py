@@ -2,8 +2,8 @@
 
 Each command's stdout on the ten named graphs (cycles, a path, Petersen,
 K8, grids and joined cycles) is pinned by its SHA-256 digest, so a change
-that alters a single byte of output fails here.  The graphs are the
-edge lists of the benchmark's `enumerate` workload, written out here so
+that alters a single byte of output fails here.  The graphs are those of
+the benchmark's `enumerate` workload, built by the conftest builders so
 that the test does not depend on `bench/`.  The six graphs of its `scan`
 workload have too many facets to enumerate here, so only `bipartite`
 and `simplicial` are pinned on them.  A change that means to alter the
@@ -11,58 +11,40 @@ output must update DIGESTS or SCAN_DIGESTS and say why.
 """
 
 import hashlib
-import itertools
 
 import pytest
 
 from adjpoly.cli import run
 
-PETERSEN = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6), (2, 7), (3, 8),
-            (4, 9), (5, 10), (6, 8), (8, 10), (7, 10), (7, 9), (6, 9)]
-
-
-def _cycle(n):
-    return [(i, i + 1) for i in range(1, n)] + [(1, n)]
-
-
-def _grid(rows, cols):
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j + 1
-            if j + 1 < cols:
-                edges.append((v, v + 1))
-            if i + 1 < rows:
-                edges.append((v, v + cols))
-    return edges
-
-
-def _joined(m1, m2):
-    # a 2*m1-cycle and a (2*m2+1)-cycle sharing the edge {1, 2}
-    chain = [2] + list(range(2 * m1 + 1, 2 * m1 + 2 * m2)) + [1]
-    return _cycle(2 * m1) + list(zip(chain, chain[1:]))
-
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    joined_cycles_graph,
+    path_graph,
+    petersen_graph,
+)
 
 GRAPHS = {
-    "C10": _cycle(10),
-    "C9": _cycle(9),
-    "P10": [(i, i + 1) for i in range(1, 10)],
-    "petersen": PETERSEN,
-    "K8": list(itertools.combinations(range(1, 9), 2)),
-    "grid3x4": _grid(3, 4),
-    "grid3x3": _grid(3, 3),
-    "J3_2": _joined(3, 2),
-    "J2_3": _joined(2, 3),
-    "J2_2": _joined(2, 2),
+    "C10": cycle_graph(10).edges,
+    "C9": cycle_graph(9).edges,
+    "P10": path_graph(10).edges,
+    "petersen": petersen_graph().edges,
+    "K8": complete_graph(8).edges,
+    "grid3x4": grid_graph(3, 4).edges,
+    "grid3x3": grid_graph(3, 3).edges,
+    "J3_2": joined_cycles_graph(3, 2).edges,
+    "J2_3": joined_cycles_graph(2, 3).edges,
+    "J2_2": joined_cycles_graph(2, 2).edges,
 }
 
 SCAN_GRAPHS = {
-    "P15": [(i, i + 1) for i in range(1, 15)],
-    "C15": _cycle(15),
-    "grid3x5": _grid(3, 5),
-    "J4_4": _joined(4, 4),
-    "K12": list(itertools.combinations(range(1, 13), 2)),
-    "K13": list(itertools.combinations(range(1, 14), 2)),
+    "P15": path_graph(15).edges,
+    "C15": cycle_graph(15).edges,
+    "grid3x5": grid_graph(3, 5).edges,
+    "J4_4": joined_cycles_graph(4, 4).edges,
+    "K12": complete_graph(12).edges,
+    "K13": complete_graph(13).edges,
 }
 
 COMMANDS = {
