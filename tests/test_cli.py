@@ -88,12 +88,6 @@ class TestFacets:
         assert facet["dim"] == 2
         assert all(len(p) == 3 for p in facet["points"])
 
-    def test_byte_identical_runs(self, joined45_file):
-        first = run(["facets", joined45_file, "--json"])
-        second = run(["facets", joined45_file, "--json"])
-        assert first.stdout.encode() == second.stdout.encode()
-        assert first.exit_code == second.exit_code == 0
-
 
 def _facets_doc(g: graphs.Graph) -> dict:
     """The `facets --json` document as nested dicts and lists."""

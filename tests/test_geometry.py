@@ -375,10 +375,6 @@ class TestBruteForceOracle:
         facets = brute_force_facets(g)
         assert [f.normal for f in facets] == [(-1,), (1,)]
 
-    def test_c4_six_facets(self):
-        g = cycle_graph(4)
-        assert len(brute_force_facets(g)) == 6
-
     def test_joined_cycles_108(self, joined45):
         assert len(brute_force_facets(joined45)) == 108
 

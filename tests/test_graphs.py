@@ -269,16 +269,8 @@ class TestMaximalBipartiteSubgraphs:
         second = enumerate_maximal_bipartite_subgraphs(joined45)
         assert first == second
 
-    @pytest.mark.parametrize("g", exhaustive_corpus(4), ids=lambda g: str(g.edges))
-    def test_matches_brute_force_small(self, g):
-        subs = enumerate_maximal_bipartite_subgraphs(g)
-        enumerated = {frozenset(subgraph_edges(g, b)) for b in subs}
-        assert enumerated == brute_force_max_bipartite(g)
-
-    def test_matches_brute_force_n5_and_samples(self):
-        graphs = [g for g in exhaustive_corpus(5) if g.vertex_count == 5]
-        graphs += list(n6_sample_graphs().values())
-        for g in graphs:
+    def test_matches_brute_force(self):
+        for g in [*exhaustive_corpus(5), *n6_sample_graphs().values()]:
             enumerated = {
                 frozenset(subgraph_edges(g, b))
                 for b in enumerate_maximal_bipartite_subgraphs(g)

@@ -113,19 +113,6 @@ class TestHomogenization:
         normals = tuple(f.normal for f in enumerate_all_facets(joined45))
         assert rows == normals
 
-    @pytest.mark.parametrize("maker", [lambda: cycle_graph(4), None])
-    def test_lift_soundness(self, maker, joined45):
-        # V.a - h with h = -1: >= 0, a zero for every point, > 0 at the origin
-        g = maker() if maker else joined45
-        rows = homogenization_data(g)
-        for vector in unmixed_support(g):
-            lifted = [_dot(row, vector) + 1 for row in rows]
-            assert min(lifted) >= 0
-            if any(vector):
-                assert 0 in lifted
-            else:
-                assert min(lifted) > 0
-
     @pytest.mark.parametrize("index", [0, 5, 107])
     def test_non_facet_row_rejected(self, monkeypatch, joined45, index):
         # twice a facet normal attains -2 on that facet's points
