@@ -151,12 +151,38 @@ def _bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
 
 
-def _bipartition_lines(b, labels: list[str]) -> list[str]:
-    # labels[v] is str(v); bit 0 of a side mask is never set
-    everyone = (1 << len(labels)) - 2
-    plus = " ".join(compress(labels, _bits(b.plus_mask)))
-    minus = " ".join(compress(labels, _bits(everyone ^ b.plus_mask)))
-    return [f"  V+ = {plus}", f"  V- = {minus}"]
+def _bipartition_writer(vertex_count: int):
+    """Return the writer of a bipartition's two lines, "  V+ = 1 3" and
+    "  V- = 2 4", from its plus-side mask over vertices 1..vertex_count.
+
+    Each side is read one byte (8 vertices) at a time: the text of a byte
+    is built the first time it appears, once per graph, and a side joins
+    vertex_count // 8 + 1 of them.
+    """
+    labels = [f" {v}" for v in range(vertex_count + 1)]
+    windows = [255 << k for k in range(0, vertex_count + 1, 8)]
+    everyone = (2 << vertex_count) - 2
+    # keyed by mask & window, whose bits name both the byte and its place;
+    # a text puts a space before each label, and no side is empty
+    pieces = {0: ""}
+
+    def write(plus_mask: int) -> str:
+        minus_mask = everyone ^ plus_mask
+        plus = minus = ""
+        for window in windows:
+            part = plus_mask & window
+            text = pieces.get(part)
+            if text is None:
+                text = pieces[part] = "".join(compress(labels, _bits(part)))
+            plus += text
+            part = minus_mask & window
+            text = pieces.get(part)
+            if text is None:
+                text = pieces[part] = "".join(compress(labels, _bits(part)))
+            minus += text
+        return f"  V+ ={plus}\n  V- ={minus}"
+
+    return write
 
 
 def _cmd_facets(args) -> tuple[int, str]:
@@ -190,11 +216,11 @@ def _cmd_facets(args) -> tuple[int, str]:
             f'"total": {total}}}\n'
         )
     lines = [f"graph: N={g.vertex_count} m={g.m}"]
-    labels = [str(v) for v in range(g.vertex_count + 1)]
+    bipartition = _bipartition_writer(g.vertex_count)
     for index, cls in enumerate(classes):
         b = cls.subgraph
         lines.append(f"class {index}: corank={b.corank} size={len(cls.facets)}")
-        lines.extend(_bipartition_lines(b, labels))
+        lines.append(bipartition(b.plus_mask))
         for f in cls.facets:
             lines.append("  normal " + " ".join(str(c) for c in f.normal))
     lines.append(f"total {total}")
@@ -233,12 +259,14 @@ def _cmd_count(args) -> tuple[int, str]:
 def _cmd_bipartite(args) -> tuple[int, str]:
     g = _load_graph(args.file)
     subs = enumerate_maximal_bipartite_subgraphs(g)
-    lines = [f"maximal bipartite subgraphs: {len(subs)}"]
-    labels = [str(v) for v in range(g.vertex_count + 1)]
-    for idx, b in enumerate(subs):
-        lines.append(f"subgraph {idx}: edges={b.cut.bit_count()} corank={b.corank}")
-        lines.extend(_bipartition_lines(b, labels))
-    return EXIT_OK, "\n".join(lines) + "\n"
+    bipartition = _bipartition_writer(g.vertex_count)
+    texts = [f"maximal bipartite subgraphs: {len(subs)}\n"]
+    texts += [
+        f"subgraph {idx}: edges={b.cut.bit_count()} corank={b.corank}\n"
+        f"{bipartition(b.plus_mask)}\n"
+        for idx, b in enumerate(subs)
+    ]
+    return EXIT_OK, "".join(texts)
 
 
 def _cmd_oracle_check(args) -> tuple[int, str]:

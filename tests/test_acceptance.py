@@ -40,12 +40,14 @@ from conftest import (
     cyclomatic_number,
     exhaustive_corpus,
     facets_by_corank,
+    fraction_rank,
     grid_graph,
     is_bipartite_edges,
     joined_cycles_graph,
     n6_sample_graphs,
     random_connected_graph,
     tight_edges,
+    tight_points,
 )
 
 
@@ -202,10 +204,13 @@ def test_criterion_6_corank_dim_and_balancing(joined45):
             corank = cls.subgraph.corank
             for facet in cls.facets:
                 edges = [g.edges[i >> 1] for i in facet.point_indices]
+                rank = fraction_rank(tight_points(g, facet))
                 assert corank == cyclomatic_number(edges, g)
+                assert corank == len(edges) - rank
                 # connected and spanning: rank N - 1, so dim N - 2, and the
                 # points are independent iff they are a spanning tree's edges
                 assert connected_spanning(edges, g.vertex_count)
+                assert rank - 1 == g.vertex_count - 2
                 assert (len(edges) == g.n) == (corank == 0)
                 assert balanced_on_all_cycles(cycles, tight_edges(g, facet))
                 facets_checked += 1

@@ -15,8 +15,18 @@ from adjpoly import cli, facets, geometry, graphs
 from adjpoly.errors import show
 from adjpoly.cli import run
 from adjpoly.facets import enumerate_facet_classes
+from adjpoly.graphs import enumerate_maximal_bipartite_subgraphs
 
-from conftest import exhaustive_corpus, n6_sample_graphs, tight_points
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    exhaustive_corpus,
+    n6_sample_graphs,
+    path_graph,
+    sides,
+    subgraph_edges,
+    tight_points,
+)
 
 
 def _adjpoly(*argv):
@@ -146,6 +156,88 @@ class TestFacetsJsonWriter:
             result = run(["facets", str(path), "--json"])
             assert result.exit_code == 0, result.stderr
             assert result.stdout == json.dumps(_facets_doc(g)) + "\n", path.name
+
+
+def _bipartition_lines(g: graphs.Graph, b) -> list[str]:
+    """A bipartition's two lines: each side's labels ascending, vertex 1 on V+."""
+    plus, minus = sides(g, b)
+    assert 1 in plus
+    return [
+        "  V+ = " + " ".join(map(str, sorted(plus))),
+        "  V- = " + " ".join(map(str, sorted(minus))),
+    ]
+
+
+def _bipartite_text(g: graphs.Graph) -> str:
+    """The `bipartite` stdout: subgraphs in order of their plus-side mask."""
+    subs = sorted(enumerate_maximal_bipartite_subgraphs(g))
+    lines = [f"maximal bipartite subgraphs: {len(subs)}"]
+    for index, b in enumerate(subs):
+        edges = len(subgraph_edges(g, b))
+        lines.append(f"subgraph {index}: edges={edges} corank={b.corank}")
+        lines += _bipartition_lines(g, b)
+    return "\n".join(lines) + "\n"
+
+
+def _facets_text(g: graphs.Graph) -> str:
+    """The text `facets` stdout."""
+    classes = enumerate_facet_classes(g)
+    lines = [f"graph: N={g.vertex_count} m={g.m}"]
+    for index, cls in enumerate(classes):
+        corank = cls.subgraph.corank
+        lines.append(f"class {index}: corank={corank} size={len(cls.facets)}")
+        lines += _bipartition_lines(g, cls.subgraph)
+        lines += ["  normal " + " ".join(map(str, f.normal)) for f in cls.facets]
+    lines.append(f"total {sum(len(cls.facets) for cls in classes)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestBipartiteWriter:
+    """`bipartite` and text `facets` write each side from byte texts cached
+    per graph; they must equal a writer that reads every side bit by bit."""
+
+    @pytest.fixture(params=["n_le_5", "n6_sample", "byte_boundaries"])
+    def corpus(self, request):
+        if request.param == "n_le_5":
+            return exhaustive_corpus(5)
+        if request.param == "n6_sample":
+            return n6_sample_graphs().values()
+        # bit v of a side mask is vertex v: C7 fills the first byte, C8 and C9
+        # start the second, C16 and C17 the third, and path40 spans six.
+        # Every relabeling of K9 is K9 itself; its 255 subgraphs put vertex 9
+        # on V+ and on V-
+        return [cycle_graph(n) for n in (7, 8, 9, 16, 17)] + [
+            path_graph(40),
+            complete_graph(9),
+        ]
+
+    def test_equals_reference(self, corpus, tmp_path):
+        for k, g in enumerate(corpus):
+            path = tmp_path / f"g{k}.txt"
+            path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+            result = run(["bipartite", str(path)])
+            assert result.exit_code == 0, result.stderr
+            assert result.stdout == _bipartite_text(g), g.edges
+            # C16, C17 and path40 have too many facets to list here
+            if g.vertex_count <= 9:
+                result = run(["facets", str(path)])
+                assert result.exit_code == 0, result.stderr
+                assert result.stdout == _facets_text(g), g.edges
+
+    def test_work(self, tmp_path, monkeypatch):
+        # the side texts built for K13's 4,095 subgraphs, pinned exactly: one
+        # per nonzero byte value at each byte place (127 + 63), where building
+        # both sides of every subgraph afresh makes 8,190
+        bits = cli._bits
+        built = []
+        monkeypatch.setattr(
+            cli, "_bits", lambda mask: built.append(mask) or bits(mask)
+        )
+        path = tmp_path / "k13.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(13).edges))
+        result = run(["bipartite", str(path)])
+        assert result.stdout.startswith("maximal bipartite subgraphs: 4095\n")
+        assert len(built) == 190
 
 
 class TestBipartiteAndSimplicial:

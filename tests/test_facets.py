@@ -634,9 +634,6 @@ class TestFacetClassFacts:
         assert fraction_rank(points) == len(points) == 6
         assert min(degree.values()) == 1
 
-    def test_matches_graph_formulas(self, joined45):
-        _assert_class_facts(joined45)
-
     @pytest.mark.parametrize(
         "g", list(_LARGER_GRAPHS.values()), ids=list(_LARGER_GRAPHS)
     )

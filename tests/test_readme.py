@@ -24,11 +24,11 @@ def test_library_snippet_runs_on_c4(tmp_path, monkeypatch):
     assert len(namespace["facets"]) == 6
 
 
-def _cli_example() -> list[tuple[list[str], list[str]]]:
-    """Each `$ adjpoly` command of the README's CLI example, with the lines
-    shown under it."""
+def _cli_example(heading: str) -> list[tuple[list[str], list[str]]]:
+    """Each `$ adjpoly` command of the first fenced block after the README
+    line that starts with heading, with the lines shown under it."""
     text = README.read_text(encoding="utf-8")
-    section = text.split("\nExample, with `g.txt`", 1)[1]
+    section = text.split(f"\n{heading}", 1)[1]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
     examples = []
     for chunk in block.split("$ adjpoly ")[1:]:
@@ -37,19 +37,30 @@ def _cli_example() -> list[tuple[list[str], list[str]]]:
     return examples
 
 
+def _assert_shown(result, shown: list[str]) -> None:
+    assert result.exit_code == 0
+    lines = result.stdout.splitlines()
+    if "..." in shown:
+        # "..." stands for lines left out between the first and the last
+        cut = shown.index("...")
+        head, tail = shown[:cut], shown[cut + 1 :]
+        assert lines[: len(head)] == head
+        assert lines[len(lines) - len(tail) :] == tail
+    else:
+        assert lines == shown
+
+
 def test_cli_example_matches_run(joined45_path):
-    examples = _cli_example()
+    examples = _cli_example("Example, with `g.txt`")
     assert [argv[0] for argv, _ in examples] == ["count", "joined-cycles"]
     for argv, shown in examples:
         argv = [str(joined45_path) if arg == "g.txt" else arg for arg in argv]
-        result = run(argv)
-        assert result.exit_code == 0
-        lines = result.stdout.splitlines()
-        if "..." in shown:
-            # "..." stands for lines left out between the first and the last
-            cut = shown.index("...")
-            head, tail = shown[:cut], shown[cut + 1 :]
-            assert lines[: len(head)] == head
-            assert lines[len(lines) - len(tail) :] == tail
-        else:
-            assert lines == shown
+        _assert_shown(run(argv), shown)
+
+
+def test_bipartite_example_matches_run(tmp_path):
+    ((argv, shown),) = _cli_example("### `bipartite` output")
+    assert argv == ["bipartite", "c5.txt"]
+    c5 = tmp_path / "c5.txt"
+    c5.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")
+    _assert_shown(run(["bipartite", str(c5)]), shown)
