@@ -67,7 +67,9 @@ def verify_facet(g: Graph, normal: Sequence[int]) -> Facet:
     `linalg.integer_rank` counts by merging the components of their
     edges.  By reflexivity the primitive normal of a facet then attains
     exactly -1 on it and > -1 elsewhere; any other minimum raises
-    InternalInconsistency.
+    InternalInconsistency.  A call whose tight edges are the set last
+    ranked on g (g.tight_rank) reuses that rank, as every facet of a class
+    after its first does in `facets.enumerate_facet_classes`.
     """
     try:
         coeffs = tuple(normal)
@@ -89,8 +91,14 @@ def verify_facet(g: Graph, normal: Sequence[int]) -> Facet:
     # a nonzero normal on a connected graph differs across some edge, and
     # both orientations of it are points, so the minimum is < 0: the tight
     # points lie on a hyperplane that misses the origin and their affine
-    # dimension is their rank - 1
-    if linalg.integer_rank([edges[i] for i in min_indices]) != g.n:
+    # dimension is their rank - 1.  The rank depends only on the undirected
+    # edges, so they are the key; the (key, rank) pair is replaced whole
+    key = tuple([i >> 1 for i in min_indices])
+    ranked, rank = g.tight_rank
+    if key != ranked:
+        rank = linalg.integer_rank([edges[i] for i in min_indices])
+        g.tight_rank = (key, rank)
+    if rank != g.n:
         raise NotAFacet(f"minimizer set has affine dimension != {g.n - 1}")
     if minimum != -1:
         raise InternalInconsistency(

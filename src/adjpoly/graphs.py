@@ -2,8 +2,10 @@
 
 Vertices are labeled 1..N.  Undirected edges are stored as (u, v) with
 u < v, sorted lexicographically; a directed edge is a plain (tail, head)
-tuple.  Everything here is immutable after construction, so values can be
-shared freely across threads.
+tuple.  Everything here is immutable after construction but one cache,
+Graph.tight_rank: an immutable pair holding an exact pure value, replaced
+whole, so a thread reads the old pair or the new one and either is
+correct.  So values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ class Graph:
     this order (or against a spanning tree's discovery order).  The 2m
     directed_edges are the configuration points: index 2k is edges[k] =
     (i, j) and index 2k + 1 is (j, i).  bfs_order lists the vertices
-    breadth-first from vertex 1, ascending neighbours.
+    breadth-first from vertex 1, ascending neighbours.  tight_rank, the
+    one attribute that changes, is `geometry.verify_facet`'s cache: the
+    (key, rank) pair of the last tight edge set it ranked on this graph,
+    key its sorted edge indices; it starts as the empty set, of rank 0.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
@@ -97,6 +102,7 @@ class Graph:
         if len(order) != vertex_count:
             raise ValidationError("graph is not connected")
         self.bfs_order: tuple[int, ...] = tuple(order)
+        self.tight_rank: tuple[tuple[int, ...], int] = ((), 0)
 
     @property
     def n(self) -> int:

@@ -333,6 +333,20 @@ class TestEnumerateSignVectors:
         with pytest.raises(TooLarge, match=r"n = 20000 > 30 .* up to 2\^20000 sign"):
             enumerate_sign_vectors(steps)
 
+    def test_guard_at_its_bound(self, monkeypatch):
+        # a path's one class has n = N - 1 tree edges: n = 31 is the first
+        # the guard refuses, and n = 30 passes it to reach the facet guard
+        def steps(n):
+            g = path_graph(n + 1)
+            (b,) = enumerate_maximal_bipartite_subgraphs(g)
+            return build_cycle_system(g, b)
+
+        with pytest.raises(TooLarge, match=re.escape("sign search guard: n = 31 > 30")):
+            enumerate_sign_vectors(steps(31))
+        monkeypatch.setattr(facets_mod, "ENUMERATION_MAX_FACETS", 4)
+        with pytest.raises(TooLarge, match="facet guard: .* n = 30 tree edges"):
+            enumerate_sign_vectors(steps(30))
+
     def test_facet_bound(self, monkeypatch):
         # a tree has one class, of all 2^n sign vectors
         g = path_graph(6)

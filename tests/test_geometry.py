@@ -4,6 +4,8 @@ import itertools
 import math
 import random
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -37,8 +39,11 @@ from conftest import (
     exhaustive_corpus,
     fraction_rank,
     fraction_solve_neg_ones,
+    grid_graph,
+    joined_cycles_graph,
     n6_sample_graphs,
     path_graph,
+    petersen_graph,
     random_edges,
     sides,
     spanning_tree_count,
@@ -349,6 +354,104 @@ class TestVerifyFacet:
                     assert connected_spanning(edges, g.vertex_count)
                     assert b.corank == cyclomatic_number(edges, g)
 
+    @pytest.mark.parametrize(
+        "build, classes, facets",
+        [
+            (petersen_graph, 135, 1410),
+            (lambda: complete_graph(8), 127, 254),
+            (lambda: cycle_graph(9), 9, 630),
+            (lambda: grid_graph(3, 4), 1, 374),
+            (lambda: joined_cycles_graph(3, 2), 9, 420),
+        ],
+        ids=["petersen", "K8", "C9", "grid3x4", "J32"],
+    )
+    def test_rank_once_per_class(self, monkeypatch, build, classes, facets):
+        # the facets of a class share its tight edges and are verified one
+        # after another, so each class's edge set is ranked once, not once
+        # per facet
+        g = build()
+        ranked = []
+        rank = linalg.integer_rank
+
+        def counted(edges):
+            ranked.append(tuple(sorted((min(e), max(e)) for e in edges)))
+            return rank(edges)
+
+        monkeypatch.setattr(linalg, "integer_rank", counted)
+        found = enumerate_facet_classes(g)
+        assert len(found) == classes
+        assert sum(len(c.facets) for c in found) == facets
+        assert ranked == [subgraph_edges(g, c.subgraph) for c in found]
+
+    def test_rank_cache_matches_fresh_graph(self):
+        # one shared Graph sees a shuffled mix of facets and non-facets,
+        # each twice in a row; every outcome must equal the same call on a
+        # fresh Graph, whose cache is empty
+        def outcome(g, normal):
+            try:
+                return verify_facet(g, normal)
+            except (NotAFacet, ZeroNormal) as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(2021)
+        graphs = list(exhaustive_corpus(5)) + list(n6_sample_graphs().values())
+        kinds = {Facet: 0, NotAFacet: 0, ZeroNormal: 0}
+        for g in graphs:
+            normals = [f.normal for f in enumerate_all_facets(g)]
+            if g.vertex_count <= 4:
+                normals += itertools.product((-1, 0, 1), repeat=g.n)
+            else:
+                normals += [tuple(map(sum, zip(a, b))) for a, b in zip(normals, normals[1:])]
+            rng.shuffle(normals)
+            for normal in normals:
+                expected = outcome(Graph(g.vertex_count, g.edges), normal)
+                assert outcome(g, normal) == outcome(g, normal) == expected, normal
+                kinds[Facet if type(expected) is Facet else expected[0]] += 1
+        # the sums of facet normals are facets too, sometimes
+        assert kinds == {Facet: 17624, NotAFacet: 13068, ZeroNormal: 3487}
+
+    def test_rank_cache_shared_across_threads(self):
+        # threads that share one Graph each read its (key, rank) pair whole,
+        # so every outcome equals the fresh graph's.  Each thread alternates
+        # a facet and a non-facet, and switching threads every microsecond
+        # interleaves the cache's reads and writes: a cache that wrote its
+        # key before its rank fails here in most runs
+        g = n6_sample_graphs()["prism"]
+        expected = {}
+        for normal in itertools.product((-1, 0, 1), repeat=g.n):
+            try:
+                expected[normal] = verify_facet(Graph(g.vertex_count, g.edges), normal)
+            except (NotAFacet, ZeroNormal) as exc:
+                expected[normal] = type(exc)
+        facets = [a for a, f in expected.items() if type(f) is Facet]
+        others = [a for a, f in expected.items() if f is NotAFacet]
+        assert (len(facets), len(others)) == (44, 198)
+        wrong = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(20000):
+                for normal in (rng.choice(facets), rng.choice(others)):
+                    try:
+                        got = verify_facet(g, normal)
+                    except Exception as exc:  # recorded, so the thread goes on
+                        got = type(exc)
+                    if got != expected[normal]:
+                        wrong.append((normal, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
 
 class TestPrimitive:
     @pytest.mark.parametrize(
@@ -403,6 +506,17 @@ class TestBruteForceOracle:
         big = cycle_graph(10)
         with pytest.raises(TooLarge):
             brute_force_facets(big)
+
+    @pytest.mark.parametrize(
+        "bound, c4_size", [("BRUTE_FORCE_MAX_DIM", 3), ("BRUTE_FORCE_MAX_POINTS", 8)]
+    )
+    def test_guard_at_its_bounds(self, monkeypatch, bound, c4_size):
+        # C4 has dim 3 and 8 points, C5 dim 4 and 10: with either bound set
+        # to C4's size, C4 is searched and C5 refused
+        monkeypatch.setattr(geometry, bound, c4_size)
+        assert len(brute_force_facets(cycle_graph(4))) == 6
+        with pytest.raises(TooLarge, match=r"oracle guard: dim 4 .* 10 points"):
+            brute_force_facets(cycle_graph(5))
 
     def test_no_duplicate_normals_and_sorted(self):
         for g in exhaustive_corpus(4):
