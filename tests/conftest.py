@@ -56,6 +56,12 @@ def n6_sample_graphs() -> dict[str, Graph]:
 
 @functools.lru_cache(maxsize=None)
 def exhaustive_corpus(max_n: int = 5) -> tuple[Graph, ...]:
+    """Every connected graph on 2..max_n vertices, built once per session.
+
+    The graphs are shared between tests, and each keeps `verify_facet`'s
+    rank cache (`Graph.tight_rank`) from one test to the next.  A test
+    that fakes or counts `linalg.integer_rank` must build its own Graph.
+    """
     graphs = []
     for n in range(2, max_n + 1):
         graphs.extend(all_connected_graphs(n))
@@ -523,4 +529,10 @@ def joined45_path() -> Path:
 
 @pytest.fixture(scope="session")
 def joined45(joined45_path) -> Graph:
+    """The joined 4- and 5-cycle, one Graph shared by the whole session.
+
+    It keeps `verify_facet`'s rank cache (`Graph.tight_rank`) between
+    tests, so a test that fakes or counts `linalg.integer_rank` must
+    build its own Graph.
+    """
     return parse_edge_list(joined45_path.read_bytes())

@@ -321,7 +321,8 @@ class TestVerifyFacet:
 
     def test_minimum_other_than_minus_one_is_inconsistent(self, monkeypatch):
         # (2, 1, 0) on C4 attains -2, so it is no facet; with the rank
-        # check forced to pass, the -1 assertion must catch it
+        # check forced to pass, the -1 assertion must catch it.  The fake
+        # rank lands in g's rank cache, so g must not be a shared fixture
         g = cycle_graph(4)
         monkeypatch.setattr(linalg, "integer_rank", lambda edges: g.n)
         with pytest.raises(InternalInconsistency, match="minimum -2"):

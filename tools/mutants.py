@@ -2,8 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 tools/mutants.py                 # every mutant in tools/mutants.json
-    python3 tools/mutants.py --only NAME     # one mutant (repeatable)
+    python3 tools/mutants.py
 
 Each entry of tools/mutants.json names a file, an exact old text, the new
 text that replaces it, and an expectation:
@@ -26,7 +25,6 @@ library is used.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -105,17 +103,8 @@ def run_one(copy: Path, m: dict) -> tuple[str, str]:
     return "error", f"pytest exit {done.returncode}: {' '.join(tail)}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", action="append", metavar="NAME", help="run this mutant")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     mutants = load()
-    if args.only:
-        unknown = set(args.only) - {m["name"] for m in mutants}
-        if unknown:
-            parser.error(f"no mutant named {sorted(unknown)}")
-        mutants = [m for m in mutants if m["name"] in args.only]
     problems = anchor_problems(ROOT, mutants)
     for line in problems:
         print(f"anchor   {line}")
